@@ -27,18 +27,13 @@ from .density import DensityError, DensitySpec, calibrate, verify_assumption
 from .domains import SpectralDomain, frozen_semicircle_drift, msc
 from .flows import contraction_check, flow_gamma, flow_lambda
 from .harness import (EXPERIMENT_NAMES, ConfigError, ExperimentConfig,
-                      failure_fraction, run_characteristic,
-                      run_entrywise_sweep, run_lsc, run_marginal,
-                      write_report_csv)
+                      failure_fraction, run_experiments, write_report_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_ASSUMPTION = 2
 EXIT_TRIAL_FAILURES = 3
 EXIT_STUB = 4
-
-_RUNNERS = {"lsc": run_lsc, "characteristics": run_characteristic,
-            "marginal": run_marginal, "entrywise": run_entrywise_sweep}
 
 
 class CliError(Exception):
@@ -176,14 +171,10 @@ def cmd_run(args) -> int:
     out_dir = _resolve_out(doc, args)
     try:
         cfg = ExperimentConfig.from_sections(doc)
-    except ConfigError as exc:
-        raise CliError(str(exc))
-    overrides = {}
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    overrides["threads"] = (args.threads if args.threads is not None
-                            else os.cpu_count() or 1)
-    try:
+        overrides = {"threads": args.threads if args.threads is not None
+                     else os.cpu_count() or 1}
+        if args.seed is not None:
+            overrides["base_seed"] = args.seed
         cfg = replace(cfg, **overrides)
     except ConfigError as exc:
         raise CliError(str(exc))
@@ -202,11 +193,16 @@ def cmd_run(args) -> int:
         print(f"assumption failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_ASSUMPTION
+    admissible = verify_assumption(cd)
+    if not admissible.passed:
+        failed = [k for k, v in admissible.to_dict().items()
+                  if k.endswith("_ok") and not v]
+        print(f"assumption failure: {', '.join(failed)}", file=sys.stderr)
+        return EXIT_ASSUMPTION
 
     experiments = {}
     worst = 0.0
-    for name in selected:
-        report = _RUNNERS[name](cfg, cd)
+    for name, report in run_experiments(cfg, selected, cd).items():
         csv_paths = write_report_csv(report, out_dir)
         summary_path = out_dir / f"{name}-summary-{cfg.base_seed}.json"
         _write_json(summary_path, report.summary())

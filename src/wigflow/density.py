@@ -232,24 +232,21 @@ class CalibratedDensity:
             raise OutOfRange(f"|h| = {bad:.6g} exceeds working interval h_max = {self.h_max:.6g}")
         return self._a_unchecked(h)
 
-    def a_clamped(self, h):
+    def a_clamped(self, h, out=None, work=None):
         """a at h clamped into the working interval; returns (values, clamp count).
 
         Used by SDE integrators: rare excursions past h_max must not abort
-        a trial, but they are counted and reported.
+        a trial, but they are counted and reported.  Hot loops pass out (may
+        be h) and work, a (4, h.size) scratch array, and no float array is made.
         """
         h = np.asarray(h, dtype=float)
-        out = np.abs(h) > self.h_max
-        n_clamped = int(np.count_nonzero(out))
+        mag = np.abs(h) if work is None else np.abs(h, out=work[0])
+        n_clamped = int(np.count_nonzero(mag > self.h_max))
         if n_clamped:
-            h = np.clip(h, -self.h_max, self.h_max)
-        return self._a_unchecked(h), n_clamped
+            h = np.clip(h, -self.h_max, self.h_max, out=out)
+        return self._a_unchecked(h, out, work), n_clamped
 
-    def _a_unchecked(self, h):
-        if self.kind == GAUSSIAN:
-            # T(h) = phi(h) exactly, so a is identically 1.  The closed form
-            # also avoids the 0/0 underflow of phi(h)/phi(h) past |h| ~ 38.
-            return np.ones_like(h, dtype=float)
+    def _a_unchecked(self, h, out=None, work=None):
         if self.kind == MIXTURE:
             # Factor out the widest component's exponential: its exponent
             # dominates all others for every h, so each remaining component
@@ -257,15 +254,26 @@ class CalibratedDensity:
             # finite at large |h| (limit: sigma_max^2).  This is the SDE hot
             # path; one exp call per extra component.
             w, s, cs = self.mix_w, self.mix_s, self.mix_cshift
-            x2 = np.square(h)
-            num = np.full_like(x2, w[-1] * s[-1])
-            den = np.full_like(x2, w[-1] / s[-1])
+            x2, den, e, we = work if work is not None else [np.empty_like(h) for _ in range(4)]
+            np.square(h, out=x2)
+            num = np.empty_like(x2) if out is None else out
+            num.fill(w[-1] * s[-1])
+            den.fill(w[-1] / s[-1])
             for i in range(len(s) - 1):
-                e = np.exp(cs[i] * x2)
-                num += (w[i] * s[i]) * e
-                den += (w[i] / s[i]) * e
-            return num / den
-        return np.interp(h, self.grid, self.a_grid)
+                np.exp(np.multiply(cs[i], x2, out=e), out=e)
+                num += np.multiply(w[i] * s[i], e, out=we)
+                den += np.multiply(w[i] / s[i], e, out=we)
+            return np.divide(num, den, out=out)
+        if self.kind == GAUSSIAN:
+            # T(h) = phi(h) exactly, so a is identically 1.  The closed form
+            # also avoids the 0/0 underflow of phi(h)/phi(h) past |h| ~ 38.
+            a = np.ones_like(h, dtype=float)
+        else:
+            a = np.interp(h, self.grid, self.a_grid)
+        if out is None:
+            return a
+        out[...] = a
+        return out
 
     # -- reconstruction ------------------------------------------------------
 

@@ -1,17 +1,22 @@
 """Monte Carlo experiment orchestration with deterministic reports.
 
-Four experiments, each a pure function of an ExperimentConfig:
+Four experiments read the same matrix paths H(t), one per (N, trial):
 
-  run_lsc            trace-mean error |<G(1,z)> - msc(z)| over the z-grid,
-                     with a log-log slope fit against N * Im z
-  run_marginal       two-sample KS of pooled rescaled entries against the
-                     direct density sampler, per (N, checkpoint time)
-  run_entrywise      per-matrix diagonal / off-diagonal / self-consistency
-                     maxima over the z-grid (run_entrywise_sweep adds the
-                     trial loop and slope fits)
-  run_characteristic reversed-flow inversion, stopped-process drift,
-                     pairwise contraction ratios, and self-energy ratios
-                     at the curve endpoints and along thinned curves
+  lsc              trace-mean error |<G(1,z)> - msc(z)| over the z-grid,
+                   with a log-log slope fit against N * Im z
+  marginal         two-sample KS of pooled rescaled entries against the
+                   direct density sampler, per (N, checkpoint time)
+  entrywise        per-matrix diagonal / off-diagonal / self-consistency
+                   maxima over the z-grid (run_entrywise), with slope fits
+  characteristics  reversed-flow inversion, stopped-process drift,
+                   pairwise contraction ratios, and self-energy ratios
+                   at the curve endpoints and along thinned curves
+
+run_experiments evolves each path once, on the union of the checkpoints
+the selected experiments read, and gives every experiment a view holding
+only its own checkpoint states.  A failure to evolve fails the trial for
+every experiment, a failure to read it for that experiment only.  The
+surviving results of each experiment are reduced into one Report.
 
 Trials are independent work units; a fork-based pool may execute them,
 but results are reduced in task-submission order, so reports are byte
@@ -24,8 +29,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy import linalg, stats
@@ -51,23 +56,25 @@ class EmptySample(Exception):
     """Quantile requested from an empty sample."""
 
 
-EXPERIMENT_NAMES = ("lsc", "characteristics", "marginal", "entrywise")
-
-LSC_COLUMNS = ("n", "trial", "re_z", "im_z", "abs_err", "normalizer")
-MARGINAL_COLUMNS = ("n", "t", "pooled", "ks_stat", "p_value", "rejected_1pct")
-ENTRYWISE_COLUMNS = ("n", "trial", "re_z", "im_z",
-                     "max_diag_err", "max_offdiag", "max_schur_residual")
-CHAR_MAP_COLUMNS = ("n", "trial", "re_z", "im_z", "re_w", "im_w",
-                    "map_residual", "roundtrip_err", "in_D0",
-                    "drift_sup", "drift_ratio", "stopped", "tau")
-CHAR_PAIR_COLUMNS = ("n", "trial", "re_z1", "re_z2", "im_z", "contraction_ratio")
-CHAR_SENERGY_COLUMNS = ("n", "trial", "t", "re_z", "im_z",
-                        "abs_error", "normalizer", "ratio")
+COLUMNS = {
+    "lsc": ("n", "trial", "re_z", "im_z", "abs_err", "normalizer"),
+    "marginal": ("n", "t", "pooled", "ks_stat", "p_value", "rejected_1pct"),
+    "entrywise": ("n", "trial", "re_z", "im_z",
+                  "max_diag_err", "max_offdiag", "max_schur_residual"),
+    "characteristics": ("n", "trial", "re_z", "im_z", "re_w", "im_w",
+                        "map_residual", "roundtrip_err", "in_D0",
+                        "drift_sup", "drift_ratio", "stopped", "tau"),
+    "characteristics_pairs": ("n", "trial", "re_z1", "re_z2", "im_z",
+                              "contraction_ratio"),
+    "characteristics_senergy": ("n", "trial", "t", "re_z", "im_z",
+                                "abs_error", "normalizer", "ratio"),
+}
+CHAR_MAP_COLUMNS = COLUMNS["characteristics"]
 
 _PATH_KEYS = {"n_steps", "t_init", "t_switch", "geometric_frac", "n_checkpoints"}
 _DOMAIN_KEYS = {"theta", "kappa", "W", "n_im", "n_re"}
 _EXPERIMENT_KEYS = {"n_values", "trials", "seed", "marginal_times", "char_im",
-                    "senergy_times", "ode_tolerance", "run"}
+                    "senergy_times", "run"}
 _TOP_KEYS = {"density", "path", "domain", "experiments", "output"}
 
 
@@ -98,7 +105,6 @@ class ExperimentConfig:
     marginal_times: tuple = (0.25, 1.0)
     char_im: float = 0.5
     senergy_times: int = 4
-    ode_tolerance: float = 1e-6
     threads: int = 1
     experiments: tuple = ("lsc",)
 
@@ -119,8 +125,6 @@ class ExperimentConfig:
             raise ConfigError("senergy_times must be >= 1")
         if not 2 <= self.n_checkpoints <= self.n_steps + 1:
             raise ConfigError("n_checkpoints must lie in [2, n_steps + 1]")
-        if self.ode_tolerance <= 0:
-            raise ConfigError("ode_tolerance must be positive")
         for t in self.marginal_times:
             if not 0.0 < t <= 1.0:
                 raise ConfigError(f"marginal time {t} outside (0, 1]")
@@ -153,20 +157,10 @@ class ExperimentConfig:
         _reject_unknown("path", path, _PATH_KEYS)
         _reject_unknown("domain", domain, _DOMAIN_KEYS)
         _reject_unknown("experiments", exper, _EXPERIMENT_KEYS)
-        kwargs = {"density": density}
-        for key in ("n_steps", "t_init", "t_switch", "geometric_frac", "n_checkpoints"):
-            if key in path:
-                kwargs[key] = path[key]
-        for src, dst in (("theta", "theta"), ("kappa", "kappa"), ("W", "W"),
-                         ("n_im", "n_im"), ("n_re", "n_re")):
-            if src in domain:
-                kwargs[dst] = domain[src]
-        for src, dst in (("n_values", "n_values"), ("trials", "trials"),
-                         ("seed", "base_seed"), ("marginal_times", "marginal_times"),
-                         ("char_im", "char_im"), ("senergy_times", "senergy_times"),
-                         ("ode_tolerance", "ode_tolerance"), ("run", "experiments")):
-            if src in exper:
-                kwargs[dst] = exper[src]
+        # path and domain keys are field names; two experiment keys are not
+        kwargs = {"density": density, **path, **domain}
+        renamed = {"seed": "base_seed", "run": "experiments"}
+        kwargs.update((renamed.get(key, key), val) for key, val in exper.items())
         try:
             return cls(**kwargs)
         except TypeError as exc:
@@ -180,18 +174,9 @@ class ExperimentConfig:
             t_init=self.t_init, n_steps=self.n_steps,
             t_switch=self.t_switch, geometric_frac=self.geometric_frac)
 
-    def path_config(self, n: int, trial: int,
-                    checkpoints: np.ndarray | None = None) -> PathConfig:
-        sched = self.schedule()
-        if checkpoints is None:
-            checkpoints = checkpoint_times(sched, n_checkpoints=self.n_checkpoints)
-        return PathConfig(n=n, base_seed=self.base_seed, trial=trial,
-                          t_init=self.t_init, schedule=sched, checkpoints=checkpoints)
-
-    def trial_streams(self) -> list:
-        """Documented stream derivation, one entry per (N, trial)."""
-        return [(n, t, (streams.PURPOSE_PATH, n, t))
-                for n in self.n_values for t in range(self.trials)]
+    def path_config(self, n: int, trial: int, checkpoints: np.ndarray) -> PathConfig:
+        return PathConfig(n=n, base_seed=self.base_seed, trial=trial, t_init=self.t_init,
+                          schedule=self.schedule(), checkpoints=checkpoints)
 
 
 # ------------------------------------------------------------- fitting
@@ -250,127 +235,27 @@ def domination_quantile(ratios: Sequence[float], q: float, n: int) -> float:
     return float(np.log(qv) / np.log(n))
 
 
-# ------------------------------------------------------- worker plumbing
-
-
-@dataclass
-class TrialFailure:
-    n: int
-    trial: int
-    message: str
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "trial": self.trial, "message": self.message}
-
-
-_STATE = None          # (cd, cfg) for the current trial map
-_THREAD_LIMIT = None   # keep the limiter alive for the worker lifetime
-
-
-def _worker_init(cd, cfg):
-    global _STATE, _THREAD_LIMIT
-    _STATE = (cd, cfg)
-    if _THREAD_LIMIT is None:
-        try:
-            from threadpoolctl import threadpool_limits
-            _THREAD_LIMIT = threadpool_limits(limits=1)
-        except Exception:
-            _THREAD_LIMIT = False
-
-
-def _map_trials(worker, cd, cfg, tasks):
-    """Run (n, trial) tasks, results in task order at any pool size."""
-    global _STATE
-    if cfg.threads <= 1 or len(tasks) <= 1:
-        _STATE = (cd, cfg)
-        try:
-            return [worker(t) for t in tasks]
-        finally:
-            _STATE = None
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=min(cfg.threads, len(tasks)),
-                  initializer=_worker_init, initargs=(cd, cfg)) as pool:
-        return list(pool.imap(worker, tasks, chunksize=1))
-
-
-def _collect(results, unpack):
-    """Split ok/fail worker results, preserving order."""
-    failures = []
-    for res in results:
-        if res[0] == "fail":
-            failures.append(TrialFailure(n=res[1], trial=res[2], message=res[3]))
-        else:
-            unpack(res)
-    return failures
-
-
 # ------------------------------------------------------------------ lsc
 
 
-def _lsc_trial(task):
-    n, trial = task
-    cd, cfg = _STATE
-    try:
-        dom = cfg.domain(n)
-        path = evolve(cd, cfg.path_config(n, trial), keep="last")
-        lam = linalg.eigvalsh(path.states[-1].H, check_finite=False)
-        rows = []
-        for z in dom.z_grid(cfg.n_im, cfg.n_re).ravel():
-            tm = np.mean(1.0 / (lam - z))
-            rows.append((n, trial, float(z.real), float(z.imag),
-                         float(abs(tm - msc(z))),
-                         float(1.0 / np.sqrt(n * z.imag))))
-        return ("ok", n, trial, rows)
-    except Exception as exc:
-        return ("fail", n, trial, f"{type(exc).__name__}: {exc}")
-
-
-@dataclass
-class LscReport:
-    """Trace-law errors with their scaling fit.
-
-    sup_table rows are (n, im_z, sup_err, normalizer): the per-(N, Im z)
-    sup over Re z of the median-over-trials error, the points the slope
-    is fitted through.
-    """
-
-    density_kind: str
-    n_values: tuple
-    trials: int
-    base_seed: int
-    theta: float
-    grid_shape: tuple
-    rows: list
-    sup_table: list
-    per_n: dict
-    fit: ScalingFit
-    trial_streams: list
-    failures: list = field(default_factory=list)
-
-    def csv_tables(self) -> list:
-        return [("lsc", LSC_COLUMNS, self.rows)]
-
-    def summary(self) -> dict:
-        return {
-            "experiment": "lsc",
-            "density": self.density_kind,
-            "n_values": list(self.n_values),
-            "trials": self.trials,
-            "seed": self.base_seed,
-            "theta": self.theta,
-            "grid_shape": list(self.grid_shape),
-            "fit": self.fit.to_dict(),
-            "sup_table": [list(r) for r in self.sup_table],
-            "per_n": {str(n): v for n, v in self.per_n.items()},
-            "failures": [f.to_dict() for f in self.failures],
-        }
+def _lsc_trial(cfg, n, trial, path):
+    lam = linalg.eigvalsh(path.states[-1].H, check_finite=False)
+    rows = []
+    for z in cfg.domain(n).z_grid(cfg.n_im, cfg.n_re).ravel():
+        tm = np.mean(1.0 / (lam - z))
+        rows.append((n, trial, float(z.real), float(z.imag),
+                     float(abs(tm - msc(z))),
+                     float(1.0 / np.sqrt(n * z.imag))))
+    return rows
 
 
 def aggregate_lsc(rows, trials):
     """Median over trials per z, sup over Re per Im level, slope fit.
 
-    Shared by run_lsc and the acceptance suite so both see the identical
-    reduction.  Returns (sup_table, per_n, fit).
+    Shared by the lsc experiment and the acceptance suite so both see the
+    identical reduction.  Returns (sup_table, per_n, fit); sup_table rows
+    are (n, im_z, sup_err, normalizer), the points the slope is fitted
+    through.
     """
     cells = {}
     raw_per_n = {}
@@ -399,24 +284,16 @@ def aggregate_lsc(rows, trials):
     return sup_table, per_n, fit_scaling(xs, ys)
 
 
-def run_lsc(config: ExperimentConfig,
-            cd: CalibratedDensity | None = None) -> LscReport:
-    """Evolve to t = 1 per trial, sweep the z-grid, fit the error slope."""
-    if cd is None:
-        cd = calibrate(config.density)
-    tasks = [(n, t) for n in config.n_values for t in range(config.trials)]
-    rows = []
-    failures = _collect(_map_trials(_lsc_trial, cd, config, tasks),
-                        lambda res: rows.extend(res[3]))
-    if not rows:
-        raise RuntimeError("all trials failed; no rows to aggregate")
-    sup_table, per_n, fit = aggregate_lsc(rows, config.trials)
-    return LscReport(
-        density_kind=config.density.kind, n_values=config.n_values,
-        trials=config.trials, base_seed=config.base_seed, theta=config.theta,
-        grid_shape=(config.n_im, config.n_re), rows=rows, sup_table=sup_table,
-        per_n=per_n, fit=fit, trial_streams=config.trial_streams(),
-        failures=failures)
+def _lsc_reduce(cfg, _cd, results):
+    rows = [r for _n, _trial, res in results for r in res]
+    sup_table, per_n, fit = aggregate_lsc(rows, cfg.trials)
+    return {"lsc": rows}, {
+        "theta": cfg.theta,
+        "grid_shape": [cfg.n_im, cfg.n_re],
+        "fit": fit.to_dict(),
+        "sup_table": [list(r) for r in sup_table],
+        "per_n": {str(n): v for n, v in per_n.items()},
+    }
 
 
 # ------------------------------------------------------------- marginal
@@ -424,84 +301,38 @@ def run_lsc(config: ExperimentConfig,
 
 def nearest_schedule_times(schedule: np.ndarray, targets: Sequence[float]) -> list:
     """Closest schedule entries to the requested times, sorted, deduplicated."""
-    out = []
-    for t in targets:
-        k = int(np.argmin(np.abs(schedule - t)))
-        out.append(float(schedule[k]))
-    return sorted(set(out))
+    return sorted({float(schedule[np.argmin(np.abs(schedule - t))]) for t in targets})
 
 
-def _marginal_trial(task):
-    n, trial = task
-    cd, cfg = _STATE
-    try:
-        t_values = nearest_schedule_times(cfg.schedule(), cfg.marginal_times)
-        path = evolve(cd, cfg.path_config(n, trial, checkpoints=np.array(t_values)))
-        iu = np.triu_indices(n)
-        ent = {s.t: s.H[iu].copy() for s in path.states}
-        return ("ok", n, trial, ent)
-    except Exception as exc:
-        return ("fail", n, trial, f"{type(exc).__name__}: {exc}")
+def _marginal_trial(_cfg, n, _trial, path):
+    iu = np.triu_indices(n)
+    return {s.t: s.H[iu] for s in path.states}
 
 
-@dataclass
-class MarginalReport:
-    """Two-sample KS of pooled rescaled entries against the direct sampler."""
-
-    density_kind: str
-    n_values: tuple
-    trials: int
-    base_seed: int
-    rows: list
-    failures: list = field(default_factory=list)
-
-    def csv_tables(self) -> list:
-        return [("marginal", MARGINAL_COLUMNS, self.rows)]
-
-    def summary(self) -> dict:
-        return {
-            "experiment": "marginal",
-            "density": self.density_kind,
-            "n_values": list(self.n_values),
-            "trials": self.trials,
-            "seed": self.base_seed,
-            "rows": [dict(zip(MARGINAL_COLUMNS, r)) for r in self.rows],
-            "failures": [f.to_dict() for f in self.failures],
-        }
-
-
-def run_marginal(config: ExperimentConfig,
-                 cd: CalibratedDensity | None = None) -> MarginalReport:
+def _marginal_reduce(cfg, cd, results):
     """Pool sqrt(N/t) H_ij(t) over trials and KS-test against sample_iid.
 
     Entries include the diagonal (same marginal law).  The reference
     sample is drawn from a dedicated stream keyed by (N, time index) and
     matches the pooled sample size.
     """
-    if cd is None:
-        cd = calibrate(config.density)
-    tasks = [(n, t) for n in config.n_values for t in range(config.trials)]
     pooled = {}
-    def unpack(res):
-        _tag, n, _trial, ent = res
+    for n, _trial, ent in results:
         for t, vec in ent.items():
             pooled.setdefault((n, t), []).append(vec)
-    failures = _collect(_map_trials(_marginal_trial, cd, config, tasks), unpack)
     rows = []
-    for n in config.n_values:
+    for n in cfg.n_values:
         t_list = sorted(t for (nn, t) in pooled if nn == n)
         for ti, t in enumerate(t_list):
             sample = np.sqrt(n / t) * np.concatenate(pooled[(n, t)])
-            gen = streams.stream(config.base_seed, streams.PURPOSE_DIRECT, n, ti)
+            gen = streams.stream(cfg.base_seed, streams.PURPOSE_DIRECT, n, ti)
             direct = sample_iid(cd, sample.size, gen)
             ks = stats.ks_2samp(sample, direct)
             rows.append((n, float(t), int(sample.size),
                          float(ks.statistic), float(ks.pvalue),
                          int(ks.pvalue < 0.01)))
-    return MarginalReport(density_kind=config.density.kind,
-                          n_values=config.n_values, trials=config.trials,
-                          base_seed=config.base_seed, rows=rows,
-                          failures=failures)
+    return {"marginal": rows}, {
+        "rows": [dict(zip(COLUMNS["marginal"], r)) for r in rows]}
 
 
 # ------------------------------------------------------------ entrywise
@@ -546,51 +377,17 @@ def run_entrywise(H1: np.ndarray, dom: SpectralDomain,
                            max_schur_residual=float(arr[:, 2].max()))
 
 
-def _entrywise_trial(task):
-    n, trial = task
-    cd, cfg = _STATE
-    try:
-        path = evolve(cd, cfg.path_config(n, trial), keep="last")
-        rep = run_entrywise(path.states[-1].H, cfg.domain(n), cfg.n_im, cfg.n_re)
-        rows = [(n, trial) + r for r in rep.rows]
-        return ("ok", n, trial, rows)
-    except Exception as exc:
-        return ("fail", n, trial, f"{type(exc).__name__}: {exc}")
-
-
-@dataclass
-class EntrywiseSweepReport:
-    """Entrywise maxima across trials with slope fits per statistic.
-
-    fits maps statistic name to the ScalingFit of the per-(N, Im z)
-    median (over trials) of the sup over Re z, against N * Im z.
-    """
-
-    density_kind: str
-    n_values: tuple
-    trials: int
-    base_seed: int
-    rows: list
-    fits: dict
-    failures: list = field(default_factory=list)
-
-    def csv_tables(self) -> list:
-        return [("entrywise", ENTRYWISE_COLUMNS, self.rows)]
-
-    def summary(self) -> dict:
-        return {
-            "experiment": "entrywise",
-            "density": self.density_kind,
-            "n_values": list(self.n_values),
-            "trials": self.trials,
-            "seed": self.base_seed,
-            "fits": {k: (f.to_dict() if f else None) for k, f in self.fits.items()},
-            "failures": [f.to_dict() for f in self.failures],
-        }
+def _entrywise_trial(cfg, n, trial, path):
+    rep = run_entrywise(path.states[-1].H, cfg.domain(n), cfg.n_im, cfg.n_re)
+    return [(n, trial) + r for r in rep.rows]
 
 
 def aggregate_entrywise(rows):
-    """Slope fits of the entrywise maxima against N * Im z."""
+    """Slope fits of the entrywise maxima against N * Im z.
+
+    Each statistic is fitted through the per-(N, Im z) median (over
+    trials) of its sup over Re z; a fit without spread is None.
+    """
     fits = {}
     for idx, name in ((4, "diag"), (5, "offdiag"), (6, "schur")):
         cells = {}
@@ -610,119 +407,77 @@ def aggregate_entrywise(rows):
     return fits
 
 
-def run_entrywise_sweep(config: ExperimentConfig,
-                        cd: CalibratedDensity | None = None) -> EntrywiseSweepReport:
-    if cd is None:
-        cd = calibrate(config.density)
-    tasks = [(n, t) for n in config.n_values for t in range(config.trials)]
-    rows = []
-    failures = _collect(_map_trials(_entrywise_trial, cd, config, tasks),
-                        lambda res: rows.extend(res[3]))
-    if not rows:
-        raise RuntimeError("all trials failed; no rows to aggregate")
-    return EntrywiseSweepReport(
-        density_kind=config.density.kind, n_values=config.n_values,
-        trials=config.trials, base_seed=config.base_seed, rows=rows,
-        fits=aggregate_entrywise(rows), failures=failures)
+def _entrywise_reduce(_cfg, _cd, results):
+    rows = [r for _n, _trial, res in results for r in res]
+    fits = aggregate_entrywise(rows)
+    return {"entrywise": rows}, {
+        "fits": {k: (f.to_dict() if f else None) for k, f in fits.items()}}
 
 
 # ------------------------------------------------------- characteristic
 
 
-def _characteristic_trial(task):
-    n, trial = task
-    cd, cfg = _STATE
-    try:
-        dom = cfg.domain(n)
-        path = evolve(cd, cfg.path_config(n, trial))
-        ev = PathTraceEvaluator(path)
-        tg = ev.ode_times
-        z_row = np.linspace(cfg.W[0], cfg.W[1], cfg.n_re) + 1j * cfg.char_im
+def _characteristic_trial(cfg, n, trial, path):
+    """Invert the flow from Im z = char_im, then run the forward curves.
 
-        map_rows, pair_rows, sen_rows = [], [], []
-        curves = []
-        for z in z_row:
-            mr = map_to_initial(ev, z, dom, tg)
-            if mr.in_D0:
-                fc = flow_gamma(ev, mr.w, dom, tg)
-                rt = float(abs(fc.endpoint - z))
-                drift, ratio = fc.drift_sup, float(fc.ratio)
-                stopped, tau = int(fc.stopped), (fc.tau if fc.stopped else float("nan"))
-            else:
-                fc, rt = None, float("nan")
-                drift = ratio = float("nan")
-                stopped, tau = 0, float("nan")
-            curves.append(fc)
-            map_rows.append((n, trial, float(z.real), float(z.imag),
-                             float(mr.w.real), float(mr.w.imag),
-                             float(mr.residual), rt, int(mr.in_D0),
-                             drift, ratio, stopped, tau))
-        for i in range(len(curves) - 1):
-            if curves[i] is not None and curves[i + 1] is not None:
-                ratio = contraction_check(curves[i], curves[i + 1])
-                pair_rows.append((n, trial, float(z_row[i].real),
-                                  float(z_row[i + 1].real), float(cfg.char_im),
-                                  float(ratio)))
+    map_to_initial per grid point, forward stopped curves from the
+    recovered points (round-trip error and drift), contraction checks on
+    adjacent pairs, and self-energy ratios at t = 1 plus thinned interior
+    checkpoints.
+    """
+    dom = cfg.domain(n)
+    ev = PathTraceEvaluator(path)
+    tg = ev.ode_times
+    z_row = np.linspace(cfg.W[0], cfg.W[1], cfg.n_re) + 1j * cfg.char_im
 
-        # self-energy ratios at the curve endpoints: t = 1 over the z-grid
-        H1 = path.states[-1].H
-        sig1 = path.states[-1].sigma
-        er = EigenResolvent(H1)
-        for z in dom.z_grid(cfg.n_im, cfg.n_re).ravel():
-            st = self_energy_from_diag(sig1, er.diag(z), z)
-            sen_rows.append((n, trial, 1.0, float(z.real), float(z.imag),
+    map_rows, pair_rows, sen_rows = [], [], []
+    curves = []
+    for z in z_row:
+        mr = map_to_initial(ev, z, dom, tg)
+        if mr.in_D0:
+            fc = flow_gamma(ev, mr.w, dom, tg)
+            rt = float(abs(fc.endpoint - z))
+            drift, ratio = fc.drift_sup, float(fc.ratio)
+            stopped, tau = int(fc.stopped), (fc.tau if fc.stopped else float("nan"))
+        else:
+            fc, rt = None, float("nan")
+            drift = ratio = float("nan")
+            stopped, tau = 0, float("nan")
+        curves.append(fc)
+        map_rows.append((n, trial, float(z.real), float(z.imag),
+                         float(mr.w.real), float(mr.w.imag),
+                         float(mr.residual), rt, int(mr.in_D0),
+                         drift, ratio, stopped, tau))
+    for i in range(len(curves) - 1):
+        if curves[i] is not None and curves[i + 1] is not None:
+            ratio = contraction_check(curves[i], curves[i + 1])
+            pair_rows.append((n, trial, float(z_row[i].real),
+                              float(z_row[i + 1].real), float(cfg.char_im),
+                              float(ratio)))
+
+    # self-energy ratios at the curve endpoints: t = 1 over the z-grid
+    final = path.states[-1]
+    er = EigenResolvent(final.H)
+    for z in dom.z_grid(cfg.n_im, cfg.n_re).ravel():
+        st = self_energy_from_diag(final.sigma, er.diag(z), z)
+        sen_rows.append((n, trial, 1.0, float(z.real), float(z.imag),
+                         st.error, st.normalizer, st.ratio))
+    # and along two curves at thinned interior checkpoints
+    idxs = sorted(set(np.linspace(1, tg.size - 2, cfg.senergy_times).astype(int)))
+    for ci in (0, cfg.n_re // 2):
+        fc = curves[ci]
+        if fc is None:
+            continue
+        for k in idxs:
+            if fc.stopped and tg[k] >= fc.tau:
+                break
+            state = path.states[k - 1]
+            sample = resolvent(state.H, complex(fc.xi[k]), check=False)
+            st = self_energy_error(state.sigma, sample)
+            sen_rows.append((n, trial, float(tg[k]),
+                             float(fc.xi[k].real), float(fc.xi[k].imag),
                              st.error, st.normalizer, st.ratio))
-        # and along two curves at thinned interior checkpoints
-        idxs = sorted(set(np.linspace(1, tg.size - 2, cfg.senergy_times).astype(int)))
-        for ci in (0, cfg.n_re // 2):
-            fc = curves[ci]
-            if fc is None:
-                continue
-            for k in idxs:
-                if fc.stopped and tg[k] >= fc.tau:
-                    break
-                state = path.states[k - 1]
-                sample = resolvent(state.H, complex(fc.xi[k]), check=False)
-                st = self_energy_error(state.sigma, sample)
-                sen_rows.append((n, trial, float(tg[k]),
-                                 float(fc.xi[k].real), float(fc.xi[k].imag),
-                                 st.error, st.normalizer, st.ratio))
-        return ("ok", n, trial, map_rows, pair_rows, sen_rows)
-    except Exception as exc:
-        return ("fail", n, trial, f"{type(exc).__name__}: {exc}")
-
-
-@dataclass
-class CharacteristicReport:
-    """Flow inversion, drift, contraction, and self-energy diagnostics."""
-
-    density_kind: str
-    n_values: tuple
-    trials: int
-    base_seed: int
-    theta: float
-    map_rows: list
-    pair_rows: list
-    senergy_rows: list
-    per_n: dict
-    failures: list = field(default_factory=list)
-
-    def csv_tables(self) -> list:
-        return [("characteristics", CHAR_MAP_COLUMNS, self.map_rows),
-                ("characteristics_pairs", CHAR_PAIR_COLUMNS, self.pair_rows),
-                ("characteristics_senergy", CHAR_SENERGY_COLUMNS, self.senergy_rows)]
-
-    def summary(self) -> dict:
-        return {
-            "experiment": "characteristics",
-            "density": self.density_kind,
-            "n_values": list(self.n_values),
-            "trials": self.trials,
-            "seed": self.base_seed,
-            "theta": self.theta,
-            "per_n": {str(n): v for n, v in self.per_n.items()},
-            "failures": [f.to_dict() for f in self.failures],
-        }
+    return map_rows, pair_rows, sen_rows
 
 
 def aggregate_characteristic(map_rows, pair_rows, senergy_rows,
@@ -763,32 +518,172 @@ def aggregate_characteristic(map_rows, pair_rows, senergy_rows,
     return per_n
 
 
-def run_characteristic(config: ExperimentConfig,
-                       cd: CalibratedDensity | None = None) -> CharacteristicReport:
-    """Invert the flow from Im z = char_im, then run the forward curves.
+def _characteristic_reduce(cfg, _cd, results):
+    tables = {"characteristics": [], "characteristics_pairs": [],
+              "characteristics_senergy": []}
+    for _n, _trial, res in results:
+        for rows, part in zip(tables.values(), res):
+            rows.extend(part)
+    per_n = aggregate_characteristic(*tables.values())
+    return tables, {"theta": cfg.theta,
+                    "per_n": {str(n): v for n, v in per_n.items()}}
 
-    Per trial: map_to_initial per grid point, forward stopped curves from
-    the recovered points (round-trip error and drift), contraction checks
-    on adjacent pairs, and self-energy ratios at t = 1 plus thinned
-    interior checkpoints.
+
+# ------------------------------------------------------------- pipeline
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """One reading of the trial paths.
+
+    times(cfg) are the checkpoints it reads; trial(cfg, n, trial, path)
+    reads one path restricted to those checkpoints; reduce(cfg, cd,
+    results) turns the surviving (n, trial, result) triples, in task
+    order, into rows per CSV table and the summary statistics.
+    """
+
+    times: Callable
+    trial: Callable
+    reduce: Callable
+
+
+def _terminal(_cfg):
+    return np.array([1.0])
+
+
+EXPERIMENTS = {
+    "lsc": _Experiment(_terminal, _lsc_trial, _lsc_reduce),
+    "characteristics": _Experiment(
+        lambda cfg: checkpoint_times(cfg.schedule(), n_checkpoints=cfg.n_checkpoints),
+        _characteristic_trial, _characteristic_reduce),
+    "marginal": _Experiment(
+        lambda cfg: np.array(nearest_schedule_times(cfg.schedule(), cfg.marginal_times)),
+        _marginal_trial, _marginal_reduce),
+    "entrywise": _Experiment(_terminal, _entrywise_trial, _entrywise_reduce),
+}
+EXPERIMENT_NAMES = tuple(EXPERIMENTS)
+
+
+@dataclass
+class TrialFailure:
+    n: int
+    trial: int
+    message: str
+
+
+@dataclass
+class Report:
+    """One experiment's CSV rows, summary statistics and trial failures.
+
+    rows maps each CSV table to its rows in task order; stats holds the
+    experiment's own summary entries, empty when every trial failed.
+    """
+
+    experiment: str
+    density_kind: str
+    n_values: tuple
+    trials: int
+    base_seed: int
+    rows: dict
+    stats: dict
+    failures: list
+
+    def csv_tables(self) -> list:
+        return [(table, COLUMNS[table], rows) for table, rows in self.rows.items()]
+
+    def summary(self) -> dict:
+        return {
+            "experiment": self.experiment,
+            "density": self.density_kind,
+            "n_values": list(self.n_values),
+            "trials": self.trials,
+            "seed": self.base_seed,
+            **self.stats,
+            "failures": [asdict(f) for f in self.failures],
+        }
+
+
+_STATE = None          # (cd, cfg, plan, checkpoints) for the current trial map
+_THREAD_LIMIT = None   # keep the limiter alive for the worker lifetime
+
+
+def _worker_init(state):
+    global _STATE, _THREAD_LIMIT
+    _STATE = state
+    if _THREAD_LIMIT is None:
+        try:
+            from threadpoolctl import threadpool_limits
+            _THREAD_LIMIT = threadpool_limits(limits=1)
+        except Exception:
+            _THREAD_LIMIT = False
+
+
+def _map_trials(worker, state, threads, tasks):
+    """Run (n, trial) tasks, results in task order at any pool size."""
+    global _STATE
+    if threads <= 1 or len(tasks) <= 1:
+        _STATE = state
+        try:
+            return [worker(t) for t in tasks]
+        finally:
+            _STATE = None
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(processes=min(threads, len(tasks)),
+                  initializer=_worker_init, initargs=(state,)) as pool:
+        return list(pool.imap(worker, tasks, chunksize=1))
+
+
+def _failure(n, trial, exc):
+    return TrialFailure(n=n, trial=trial, message=f"{type(exc).__name__}: {exc}")
+
+
+def _trial(task):
+    """Evolve one path and hand each experiment a view of its checkpoints."""
+    n, trial = task
+    cd, cfg, plan, checkpoints = _STATE
+    try:
+        path = evolve(cd, cfg.path_config(n, trial, checkpoints=checkpoints))
+    except Exception as exc:
+        return [_failure(n, trial, exc)] * len(plan)
+    out = []
+    for exp, times in plan:
+        try:
+            out.append(exp.trial(cfg, n, trial, path.view(times)))
+        except Exception as exc:
+            out.append(_failure(n, trial, exc))
+    return out
+
+
+def run_experiments(config: ExperimentConfig, names: Sequence[str],
+                    cd: CalibratedDensity | None = None) -> dict:
+    """Run the named experiments on shared paths.
+
+    Each (N, trial) path is integrated once, on the union of the
+    checkpoints the experiments read.  Returns {name: Report} in the
+    order of `names`.
     """
     if cd is None:
         cd = calibrate(config.density)
+    plan = [(EXPERIMENTS[name], EXPERIMENTS[name].times(config)) for name in names]
+    checkpoints = np.unique(np.concatenate([times for _exp, times in plan]))
     tasks = [(n, t) for n in config.n_values for t in range(config.trials)]
-    map_rows, pair_rows, sen_rows = [], [], []
-    def unpack(res):
-        map_rows.extend(res[3])
-        pair_rows.extend(res[4])
-        sen_rows.extend(res[5])
-    failures = _collect(_map_trials(_characteristic_trial, cd, config, tasks), unpack)
-    if not map_rows:
-        raise RuntimeError("all trials failed; no rows to aggregate")
-    return CharacteristicReport(
-        density_kind=config.density.kind, n_values=config.n_values,
-        trials=config.trials, base_seed=config.base_seed, theta=config.theta,
-        map_rows=map_rows, pair_rows=pair_rows, senergy_rows=sen_rows,
-        per_n=aggregate_characteristic(map_rows, pair_rows, sen_rows),
-        failures=failures)
+    results = _map_trials(_trial, (cd, config, plan, checkpoints),
+                          config.threads, tasks)
+    reports = {}
+    for i, (name, (exp, _times)) in enumerate(zip(names, plan)):
+        done, failures = [], []
+        for (n, trial), res in zip(tasks, results):
+            if isinstance(res[i], TrialFailure):
+                failures.append(res[i])
+            else:
+                done.append((n, trial, res[i]))
+        rows, summary = exp.reduce(config, cd, done) if done else ({}, {})
+        reports[name] = Report(
+            experiment=name, density_kind=config.density.kind,
+            n_values=config.n_values, trials=config.trials,
+            base_seed=config.base_seed, rows=rows, stats=summary,
+            failures=failures)
+    return reports
 
 
 # ------------------------------------------------------------- reports

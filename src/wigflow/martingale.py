@@ -19,7 +19,7 @@ the singular start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -124,11 +124,12 @@ class MatrixPath:
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.states])
 
-    def state_at(self, t: float) -> MatrixState:
-        for s in self.states:
-            if s.t == t:
-                return s
-        raise KeyError(f"no checkpoint at t = {t}")
+    def view(self, times) -> "MatrixPath":
+        """The path restricted to the checkpoints at `times`, states shared."""
+        keep = set(times)
+        states = [s for s in self.states if s.t in keep]
+        config = replace(self.config, checkpoints=np.array([s.t for s in states]))
+        return MatrixPath(config=config, states=states, total_clamps=self.total_clamps)
 
 
 def _upper(n: int):
@@ -142,10 +143,11 @@ def _sym_from_upper(vec: np.ndarray, n: int, iu) -> np.ndarray:
     return M
 
 
-def _sigma_upper(cd: CalibratedDensity, hu: np.ndarray, t: float, n: int):
-    x = np.sqrt(n / t) * hu
-    a, clamps = cd.a_clamped(x)
-    return a / n, clamps
+def _sigma_upper(cd: CalibratedDensity, hu: np.ndarray, t: float, n: int, out=None, work=None):
+    x = np.multiply(hu, np.sqrt(n / t), out=out)
+    a, clamps = cd.a_clamped(x, out=x, work=work)
+    a /= n
+    return a, clamps
 
 
 def init_exact(cd: CalibratedDensity, n: int, t_init: float,
@@ -186,15 +188,14 @@ def step(cd: CalibratedDensity, state: MatrixState, dt: float,
 
 
 def evolve(cd: CalibratedDensity, config: PathConfig,
-           gen: np.random.Generator | None = None, keep: str = "checkpoints") -> MatrixPath:
+           gen: np.random.Generator | None = None) -> MatrixPath:
     """Integrate the matrix SDE over the configured schedule.
 
-    keep selects which checkpoint states are materialized: "checkpoints"
-    stores every configured checkpoint, "last" only the terminal state
-    (memory-lean mode for large N).
+    Only the states at config.checkpoints are materialized; pass
+    checkpoints=np.array([1.0]) to keep the terminal state alone.  The
+    random draws do not depend on the checkpoints, so a state is the same
+    bit for bit whichever other checkpoints are kept.
     """
-    if keep not in ("checkpoints", "last"):
-        raise ValueError(f"unknown keep mode {keep!r}")
     if gen is None:
         gen = streams.path_stream(config.base_seed, config.n, config.trial)
     n = config.n
@@ -212,17 +213,17 @@ def evolve(cd: CalibratedDensity, config: PathConfig,
                                   sigma=_sym_from_upper(su, n, iu),
                                   clamp_count=clamps))
 
-    if keep == "checkpoints" and is_checkpoint[0]:
+    if is_checkpoint[0]:
         materialize(sched[0], hu, su, clamps)
+    z, work = np.empty_like(hu), np.empty((4, hu.size))  # reused by every step
     for k in range(len(sched) - 1):
         dt = sched[k + 1] - sched[k]
-        hu = hu + np.sqrt(su * dt) * gen.standard_normal(hu.size)
-        su, clamps = _sigma_upper(cd, hu, sched[k + 1], n)
+        np.sqrt(np.multiply(su, dt, out=su), out=su)
+        hu += np.multiply(su, gen.standard_normal(out=z), out=su)
+        su, clamps = _sigma_upper(cd, hu, sched[k + 1], n, out=su, work=work)
         total_clamps += clamps
-        if is_checkpoint[k + 1] and (keep == "checkpoints" or k + 1 == len(sched) - 1):
+        if is_checkpoint[k + 1]:
             materialize(sched[k + 1], hu, su, clamps)
-    if keep == "last" and (not states or states[-1].t != sched[-1]):
-        materialize(sched[-1], hu, su, clamps)
     return MatrixPath(config=config, states=states, total_clamps=total_clamps)
 
 

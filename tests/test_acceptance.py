@@ -19,11 +19,10 @@ import pytest
 from wigflow.cli import stub_checks
 from wigflow.density import DensitySpec, calibrate
 from wigflow.domains import msc
-from wigflow.harness import (CHAR_MAP_COLUMNS, ExperimentConfig,
-                             aggregate_entrywise, aggregate_lsc,
-                             domination_quantile, run_characteristic,
-                             run_entrywise, run_entrywise_sweep, run_lsc,
-                             run_marginal, write_report_csv)
+from wigflow.harness import (CHAR_MAP_COLUMNS, EXPERIMENT_NAMES,
+                             ExperimentConfig, aggregate_entrywise,
+                             aggregate_lsc, domination_quantile,
+                             run_entrywise, run_experiments, write_report_csv)
 from wigflow.martingale import PathConfig, evolve, geometric_uniform_schedule
 from wigflow.resolvent import (EigenResolvent, minor_resolvent, resolvent,
                                self_energy_error, self_energy_from_diag,
@@ -33,6 +32,7 @@ SEED = 2026
 N_VALUES = (125, 250, 500, 1000)
 TRIALS = 20
 MIX = DensitySpec.mixture((0.5, 0.5), (np.sqrt(0.5), np.sqrt(1.5)))
+TERMINAL = np.array([1.0])
 
 _MAP_COL = dict(zip(CHAR_MAP_COLUMNS, range(len(CHAR_MAP_COLUMNS))))
 
@@ -51,7 +51,7 @@ def _ensemble_stats(spec, n_steps, with_senergy):
         dom = cfg.domain(n)
         zg = dom.z_grid(8, 9).ravel()
         for trial in range(TRIALS):
-            path = evolve(cd, cfg.path_config(n, trial), keep="last")
+            path = evolve(cd, cfg.path_config(n, trial, checkpoints=TERMINAL))
             H1, sig1 = path.states[-1].H, path.states[-1].sigma
             er = EigenResolvent(H1)
             for z in zg:
@@ -88,7 +88,7 @@ def char_report():
                            trials=50, base_seed=SEED, n_steps=200,
                            n_checkpoints=26, n_im=4, n_re=9, char_im=0.5,
                            senergy_times=3)
-    return cfg, run_characteristic(cfg)
+    return cfg, run_experiments(cfg, ("characteristics",))["characteristics"]
 
 
 # --------------------------------------------------------------- 1 to 5
@@ -100,8 +100,8 @@ def test_criterion_01_gaussian_collapse():
     grid = np.linspace(-8.0, 8.0, 4001)
     assert np.max(np.abs(cd.a_of_h(grid) - 1.0)) <= 1e-8
     path = evolve(cd, PathConfig(n=64, base_seed=SEED,
-                                 schedule=geometric_uniform_schedule(n_steps=50)),
-                  keep="last")
+                                 schedule=geometric_uniform_schedule(n_steps=50),
+                                 checkpoints=TERMINAL))
     st = path.states[-1]
     assert np.all(st.sigma == 1.0 / 64)
     sample = resolvent(st.H, 0.3 + 0.5j)
@@ -122,10 +122,10 @@ def test_criterion_03_marginal_ks():
     cfg = ExperimentConfig(density=MIX, n_values=(200,), trials=1,
                            base_seed=SEED, n_steps=2000,
                            marginal_times=(0.25, 1.0))
-    rep = run_marginal(cfg)
+    rep = run_experiments(cfg, ("marginal",))["marginal"]
     assert not rep.failures
-    assert len(rep.rows) == 2
-    for _n, _t, pooled, _stat, _p, rejected in rep.rows:
+    assert len(rep.rows["marginal"]) == 2
+    for _n, _t, pooled, _stat, _p, rejected in rep.rows["marginal"]:
         assert pooled >= 2e4
         assert rejected == 0
     assert time.monotonic() - t0 < 120.0
@@ -165,7 +165,7 @@ def test_criterion_06_inverse_flow(char_report):
     assert not rep.failures
     eta = cfg.domain(500).eta
     residual_limit = 10.0 / np.sqrt(500 * eta)
-    rows = [r for r in rep.map_rows if r[_MAP_COL["trial"]] < 10]
+    rows = [r for r in rep.rows["characteristics"] if r[_MAP_COL["trial"]] < 10]
     assert len(rows) == 10 * 9
     good = sum(1 for r in rows
                if r[_MAP_COL["in_D0"]] == 1
@@ -177,14 +177,15 @@ def test_criterion_06_inverse_flow(char_report):
 def test_criterion_07_constancy_and_contraction(char_report):
     _cfg, rep = char_report
     assert not rep.failures
-    ratios = [r[_MAP_COL["drift_ratio"]] for r in rep.map_rows
+    ratios = [r[_MAP_COL["drift_ratio"]] for r in rep.rows["characteristics"]
               if r[_MAP_COL["in_D0"]] == 1]
     assert len(ratios) >= 50 * 9 * 0.95
     assert float(np.quantile(ratios, 0.95)) <= 5.0
     # contraction with 5% slack on every sampled adjacent pair
-    assert rep.pair_rows
-    assert max(r[5] for r in rep.pair_rows) <= 1.05
-    assert rep.per_n[500]["contraction_violations"] == 0
+    pair_rows = rep.rows["characteristics_pairs"]
+    assert pair_rows
+    assert max(r[5] for r in pair_rows) <= 1.05
+    assert rep.stats["per_n"]["500"]["contraction_violations"] == 0
 
 
 # ------------------------------------------------------ 8, 9, 10 (scaling)
@@ -254,8 +255,7 @@ def test_criterion_11_pool_size_determinism(tmp_path):
         d = tmp_path / f"pool{threads}"
         d.mkdir()
         c = replace(cfg, threads=threads)
-        for rep in (run_lsc(c), run_marginal(c), run_entrywise_sweep(c),
-                    run_characteristic(c)):
+        for rep in run_experiments(c, EXPERIMENT_NAMES).values():
             write_report_csv(rep, d)
         dirs.append(d)
     names = sorted(p.name for p in dirs[0].iterdir())

@@ -6,9 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from wigflow import cli
+from wigflow import cli, harness
 from wigflow.domains import msc
-from wigflow.harness import TrialFailure, run_lsc
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -204,18 +203,92 @@ def test_run_single_selector_and_seed_override(tmp_path):
     assert a != b
 
 
+def test_run_all_matches_single_experiment_runs(tmp_path, monkeypatch):
+    doc = smoke_doc(tmp_path / "all", char_im=0.5, senergy_times=2,
+                    marginal_times=[0.5, 1.0])
+    cfgp = write_config(tmp_path, doc)
+    # the marginal checkpoint near 0.5 is off the characteristics grid, so
+    # the characteristics bytes show whether each experiment reads only
+    # its own checkpoints of the shared path
+    cfg = harness.ExperimentConfig.from_sections(doc)
+    times = {name: exp.times(cfg) for name, exp in harness.EXPERIMENTS.items()}
+    assert np.setdiff1d(times["marginal"], times["characteristics"]).size == 1
+    calls = []
+    real = harness.evolve
+
+    def counting(cd, pc, *args, **kwargs):
+        calls.append((pc.n, pc.trial))
+        return real(cd, pc, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "evolve", counting)
+    assert cli.main(["run", "--config", str(cfgp), "--experiment", "all",
+                     "--threads", "1"]) == 0
+    # one path integration per (N, trial), shared by the four experiments
+    assert sorted(calls) == [(n, t) for n in (64, 96) for t in range(2)]
+
+    single = tmp_path / "single"
+    for name in harness.EXPERIMENT_NAMES:
+        assert cli.main(["run", "--config", str(cfgp), "--experiment", name,
+                         "--threads", "1", "--out", str(single / name)]) == 0
+    names = sorted(p.name for p in (tmp_path / "all").iterdir())
+    assert len(names) == 2 * (1 + 1 + 1 + 3) + 4 + 1
+    for fname in names:
+        if fname == "manifest.json":
+            continue
+        owner = next(name for name in harness.EXPERIMENT_NAMES
+                     if (single / name / fname).exists())
+        assert ((tmp_path / "all" / fname).read_bytes()
+                == (single / owner / fname).read_bytes()), fname
+
+
+def test_run_inadmissible_density_exit2(tmp_path, capsys):
+    # calibrates, but the Lipschitz estimate of a (about 144) exceeds 100
+    doc = smoke_doc(tmp_path / "out")
+    doc["density"] = {"kind": "gaussian-mixture", "weights": [0.99, 0.01],
+                      "sigmas": [0.5, float(np.sqrt((1.0 - 0.99 * 0.25) / 0.01))]}
+    cfgp = write_config(tmp_path, doc)
+    assert cli.main(["run", "--config", str(cfgp), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "lipschitz_ok" in err and "bounded_ok" not in err
+
+
+def test_run_all_trials_failed_exit3(tmp_path, monkeypatch, capsys):
+    def broken(*_args, **_kwargs):
+        raise FloatingPointError("synthetic path loss")
+
+    monkeypatch.setattr(harness, "evolve", broken)
+    out = tmp_path / "out"
+    cfgp = write_config(tmp_path, smoke_doc(out))
+    code = cli.main(["run", "--config", str(cfgp), "--experiment", "all",
+                     "--threads", "1"])
+    assert code == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_code"] == 3
+    assert set(manifest["experiments"]) == set(harness.EXPERIMENT_NAMES)
+    listed = {"manifest.json"}
+    for name, entry in manifest["experiments"].items():
+        assert entry["status"] == "excess-failures"
+        assert entry["failure_fraction"] == 1.0
+        listed.update(entry["outputs"])
+        summary = json.loads((out / f"{name}-summary-11.json").read_text())
+        assert len(summary["failures"]) == 4
+        assert summary["failures"][0]["message"] == "FloatingPointError: synthetic path loss"
+    # the manifest lists exactly the files the run left
+    assert listed == {p.name for p in out.iterdir()}
+
+
 def test_run_excess_failures_exit3(tmp_path, monkeypatch):
     doc = smoke_doc(tmp_path / "out")
     doc["experiments"]["n_values"] = [64]
     cfgp = write_config(tmp_path, doc)
-    real = cli._RUNNERS["lsc"]
+    real = harness.evolve
 
-    def failing(cfg, cd):
-        rep = real(cfg, cd)
-        rep.failures.append(TrialFailure(64, 1, "synthetic trial loss"))
-        return rep
+    def failing(cd, pc, *args, **kwargs):
+        if pc.trial == 1:
+            raise FloatingPointError("synthetic trial loss")
+        return real(cd, pc, *args, **kwargs)
 
-    monkeypatch.setitem(cli._RUNNERS, "lsc", failing)
+    monkeypatch.setattr(harness, "evolve", failing)
     code = cli.main(["run", "--config", str(cfgp), "--experiment", "lsc",
                      "--threads", "1"])
     assert code == 3

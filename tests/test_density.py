@@ -133,6 +133,17 @@ def test_clamped_evaluation_counts(mixture):
     assert vals[1] == pytest.approx(float(mixture.a_of_h(mixture.h_max)))
 
 
+def test_clamped_evaluation_in_place_is_bitwise_equal(gaussian, mixture):
+    # the SDE loop evaluates a into its input buffer with reused scratch
+    for cd in (gaussian, mixture):
+        h = np.linspace(-1.5 * cd.h_max, 1.5 * cd.h_max, 1001)
+        vals, n = cd.a_clamped(h)
+        buf = h.copy()
+        got, m = cd.a_clamped(buf, out=buf, work=np.empty((4, h.size)))
+        assert got is buf and m == n > 0
+        assert np.array_equal(got, vals)
+
+
 def test_sampling_deterministic(mixture):
     a = sample_iid(mixture, 1000, streams.stream(7, 1, 2))
     b = sample_iid(mixture, 1000, streams.stream(7, 1, 2))

@@ -9,13 +9,13 @@ import pytest
 
 from wigflow.density import DensitySpec, calibrate
 from wigflow.domains import SpectralDomain, msc
+from wigflow import harness
 from wigflow.harness import (CHAR_MAP_COLUMNS, ConfigError, DegenerateFit,
                              EmptySample, ExperimentConfig, TrialFailure,
                              aggregate_lsc, domination_quantile,
                              failure_fraction, fit_scaling,
-                             nearest_schedule_times, run_characteristic,
-                             run_entrywise, run_entrywise_sweep, run_lsc,
-                             run_marginal, write_report_csv)
+                             nearest_schedule_times, run_entrywise,
+                             run_experiments, write_report_csv)
 from wigflow.martingale import geometric_uniform_schedule
 
 
@@ -24,6 +24,10 @@ def small_config(**kw):
                 base_seed=42, n_steps=40, n_checkpoints=9, n_im=4, n_re=3)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def run_one(cfg, name):
+    return run_experiments(cfg, (name,))[name]
 
 
 # ---------------------------------------------------------------- fits
@@ -121,6 +125,10 @@ def test_config_from_sections():
         ExperimentConfig.from_sections({"path": {}})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_sections({"density": {"kind": "unobtainium"}})
+    # ode_tolerance drove nothing and is no longer a key
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_sections({"density": {"kind": "standard-gaussian"},
+                                        "experiments": {"ode_tolerance": 1e-6}})
 
 
 def test_nearest_schedule_times():
@@ -137,17 +145,18 @@ def test_nearest_schedule_times():
 
 def test_run_lsc_smoke_and_determinism():
     cfg = small_config()
-    rep = run_lsc(cfg)
-    assert len(rep.rows) == cfg.trials * cfg.n_im * cfg.n_re
+    rep = run_one(cfg, "lsc")
+    rows = rep.rows["lsc"]
+    assert len(rows) == cfg.trials * cfg.n_im * cfg.n_re
     assert not rep.failures
-    assert np.isfinite(rep.fit.slope)
-    assert set(r[0] for r in rep.rows) == {64}
-    assert 64 in rep.per_n and rep.per_n[64]["observations"] == len(rep.rows)
-    assert len(rep.sup_table) == cfg.n_im
-    assert len(rep.trial_streams) == cfg.trials
-    again = run_lsc(cfg)
+    assert np.isfinite(rep.stats["fit"]["slope"])
+    assert set(r[0] for r in rows) == {64}
+    per_n = rep.stats["per_n"]
+    assert "64" in per_n and per_n["64"]["observations"] == len(rows)
+    assert len(rep.stats["sup_table"]) == cfg.n_im
+    again = run_one(cfg, "lsc")
     assert again.rows == rep.rows
-    assert again.fit == rep.fit
+    assert again.stats["fit"] == rep.stats["fit"]
 
 
 def test_aggregate_lsc_reduction():
@@ -173,15 +182,15 @@ def test_aggregate_lsc_reduction():
 
 def test_run_marginal_smoke():
     cfg = small_config(trials=2, marginal_times=(0.5, 1.0))
-    rep = run_marginal(cfg)
-    assert len(rep.rows) == 2
+    rows = run_one(cfg, "marginal").rows["marginal"]
+    assert len(rows) == 2
     per_entry = 64 * 65 // 2
-    for n, t, pooled, stat, p, rej in rep.rows:
+    for n, t, pooled, stat, p, rej in rows:
         assert n == 64 and pooled == 2 * per_entry
         assert 0.0 <= stat <= 1.0 and 0.0 <= p <= 1.0
         assert rej == int(p < 0.01)
     # gaussian entries are exact at every time; this seed must not reject
-    assert all(r[5] == 0 for r in rep.rows)
+    assert all(r[5] == 0 for r in rows)
 
 
 def test_run_entrywise_diagonal_matrix():
@@ -210,39 +219,41 @@ def test_run_entrywise_zero_matrix_closed_form():
 
 def test_run_entrywise_sweep_smoke():
     cfg = small_config(trials=2)
-    rep = run_entrywise_sweep(cfg)
-    assert len(rep.rows) == 2 * cfg.n_im * cfg.n_re
+    rep = run_one(cfg, "entrywise")
+    assert len(rep.rows["entrywise"]) == 2 * cfg.n_im * cfg.n_re
+    fits = rep.stats["fits"]
     for name in ("diag", "offdiag", "schur"):
-        assert rep.fits[name] is not None
-        assert np.isfinite(rep.fits[name].slope)
-    assert run_entrywise_sweep(cfg).rows == rep.rows
+        assert fits[name] is not None
+        assert np.isfinite(fits[name]["slope"])
+    assert run_one(cfg, "entrywise").rows == rep.rows
 
 
 def test_run_characteristic_smoke():
     cfg = small_config(trials=2, n_steps=60, n_checkpoints=11, n_re=5,
                        n_im=3, char_im=0.5, senergy_times=3)
-    rep = run_characteristic(cfg)
-    assert len(rep.map_rows) == 2 * 5
-    assert len(rep.pair_rows) == 2 * 4
+    rep = run_one(cfg, "characteristics")
+    map_rows = rep.rows["characteristics"]
+    assert len(map_rows) == 2 * 5
+    assert len(rep.rows["characteristics_pairs"]) == 2 * 4
     cols = dict(zip(CHAR_MAP_COLUMNS, range(len(CHAR_MAP_COLUMNS))))
-    for r in rep.map_rows:
+    for r in map_rows:
         assert r[cols["in_D0"]] == 1
         assert r[cols["map_residual"]] < 1.0
         assert r[cols["roundtrip_err"]] < 0.2
-    agg = rep.per_n[64]
+    agg = rep.stats["per_n"]["64"]
     assert np.isfinite(agg["drift_ratio_q95"])
     assert agg["contraction_worst"] <= 1.05
     assert agg["contraction_violations"] == 0
     assert "senergy_eps_hat" in agg
-    endpoint_rows = [r for r in rep.senergy_rows if r[2] == 1.0]
+    endpoint_rows = [r for r in rep.rows["characteristics_senergy"] if r[2] == 1.0]
     assert len(endpoint_rows) == 2 * cfg.n_im * cfg.n_re
-    again = run_characteristic(cfg)
+    again = run_one(cfg, "characteristics")
     # tau is nan for unstopped curves, so compare the printed form
-    assert repr(again.map_rows) == repr(rep.map_rows)
+    assert repr(again.rows["characteristics"]) == repr(map_rows)
 
 
 def test_trial_failures_counted():
-    rep_like = run_lsc(small_config(trials=2))
+    rep_like = run_one(small_config(trials=2), "lsc")
     rep_like.failures = [TrialFailure(64, 1, "boom")]
     assert failure_fraction(rep_like) == pytest.approx(0.5)
 
@@ -252,8 +263,8 @@ def test_csv_written_and_byte_identical_across_pool_sizes(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     d1.mkdir()
     d2.mkdir()
-    paths1 = write_report_csv(run_lsc(cfg), d1)
-    paths2 = write_report_csv(run_lsc(replace(cfg, threads=2)), d2)
+    paths1 = write_report_csv(run_one(cfg, "lsc"), d1)
+    paths2 = write_report_csv(run_one(replace(cfg, threads=2), "lsc"), d2)
     assert [p.split("/")[-1] for p in paths1] == ["lsc-64-42.csv"]
     assert filecmp.cmp(paths1[0], paths2[0], shallow=False)
 
@@ -262,16 +273,50 @@ def test_csv_written_and_byte_identical_across_pool_sizes(tmp_path):
     assert rows[0] == list(("n", "trial", "re_z", "im_z", "abs_err", "normalizer"))
     assert len(rows) - 1 == 4 * cfg.n_im * cfg.n_re
     # repr round-trips every float exactly
-    rep = run_lsc(cfg)
-    assert float(rows[1][4]) == rep.rows[0][4]
+    rep = run_one(cfg, "lsc")
+    assert float(rows[1][4]) == rep.rows["lsc"][0][4]
 
 
 def test_characteristic_csv_tables(tmp_path):
     cfg = small_config(trials=1, n_steps=60, n_checkpoints=11, n_re=3,
                        n_im=3, char_im=0.5)
-    rep = run_characteristic(cfg)
+    rep = run_one(cfg, "characteristics")
     paths = write_report_csv(rep, tmp_path)
     names = sorted(p.split("/")[-1] for p in paths)
     assert names == ["characteristics-64-42.csv",
                      "characteristics_pairs-64-42.csv",
                      "characteristics_senergy-64-42.csv"]
+
+
+# ------------------------------------------------------------ pipeline
+
+
+def test_reader_failure_fails_one_experiment(monkeypatch):
+    def broken(*_args, **_kwargs):
+        raise FloatingPointError("synthetic")
+
+    monkeypatch.setattr(harness, "run_entrywise", broken)
+    reps = run_experiments(small_config(trials=2), ("lsc", "entrywise"))
+    assert not reps["lsc"].failures and reps["lsc"].rows["lsc"]
+    ent = reps["entrywise"]
+    assert ent.summary()["failures"] == [
+        {"n": 64, "trial": t, "message": "FloatingPointError: synthetic"}
+        for t in (0, 1)]
+    assert ent.rows == {} and ent.stats == {}
+    assert failure_fraction(ent) == 1.0
+
+
+def test_evolve_failure_fails_every_experiment(monkeypatch):
+    real = harness.evolve
+
+    def flaky(cd, pc, *args, **kwargs):
+        if pc.trial == 1:
+            raise ValueError("no path")
+        return real(cd, pc, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "evolve", flaky)
+    reps = run_experiments(small_config(trials=3), ("lsc", "marginal"))
+    for rep in reps.values():
+        assert [(f.trial, f.message) for f in rep.failures] == [(1, "ValueError: no path")]
+    assert {r[1] for r in reps["lsc"].rows["lsc"]} == {0, 2}
+    assert reps["marginal"].rows["marginal"][0][2] == 2 * 64 * 65 // 2

@@ -12,6 +12,7 @@ from wigflow.martingale import (
 )
 
 MIX = (0.5, 0.5), (np.sqrt(0.5), np.sqrt(1.5))
+TERMINAL = np.array([1.0])
 
 
 @pytest.fixture(scope="module")
@@ -119,25 +120,42 @@ def test_evolve_reaches_one_with_checkpoints(mixture):
         assert np.all(st.sigma <= mixture.a_sup / cfg.n + 1e-15)
 
 
-def test_evolve_keep_last(mixture):
-    cfg = PathConfig(n=24, base_seed=9, schedule=geometric_uniform_schedule(1e-3, 200))
-    path = evolve(mixture, cfg, keep="last")
+def test_evolve_terminal_checkpoint_only(mixture):
+    sched = geometric_uniform_schedule(1e-3, 200)
+    full = evolve(mixture, PathConfig(n=24, base_seed=9, schedule=sched))
+    path = evolve(mixture, PathConfig(n=24, base_seed=9, schedule=sched,
+                                      checkpoints=TERMINAL))
     assert len(path.states) == 1 and path.states[0].t == 1.0
-    full = evolve(mixture, cfg, keep="checkpoints")
+    # the kept states do not change the draws: bit-identical terminal state
     assert np.array_equal(path.states[0].H, full.states[-1].H)
+    assert np.array_equal(path.states[0].sigma, full.states[-1].sigma)
+    assert path.total_clamps == full.total_clamps
+
+
+def test_path_view_shares_states(mixture):
+    cfg = PathConfig(n=16, base_seed=9, schedule=geometric_uniform_schedule(1e-3, 100))
+    path = evolve(mixture, cfg)
+    times = path.times[[0, 3, -1]]
+    view = path.view(times)
+    assert np.array_equal(view.times, times)
+    assert np.array_equal(view.config.checkpoints, times)
+    assert all(v is path.states[i] for v, i in zip(view.states, (0, 3, -1)))
+    assert view.total_clamps == path.total_clamps
 
 
 def test_evolve_deterministic_per_config(mixture):
     cfg = PathConfig(n=16, base_seed=10, trial=3,
-                     schedule=geometric_uniform_schedule(1e-3, 100))
-    a = evolve(mixture, cfg, keep="last").states[0].H
-    b = evolve(mixture, cfg, keep="last").states[0].H
+                     schedule=geometric_uniform_schedule(1e-3, 100),
+                     checkpoints=TERMINAL)
+    a = evolve(mixture, cfg).states[0].H
+    b = evolve(mixture, cfg).states[0].H
     assert np.array_equal(a, b)
 
 
 def test_sigma_profile_recomputation(mixture):
-    cfg = PathConfig(n=30, base_seed=11, schedule=geometric_uniform_schedule(1e-3, 150))
-    st = evolve(mixture, cfg, keep="last").states[0]
+    cfg = PathConfig(n=30, base_seed=11, schedule=geometric_uniform_schedule(1e-3, 150),
+                     checkpoints=TERMINAL)
+    st = evolve(mixture, cfg).states[0]
     prof = sigma_profile(mixture, st)
     assert np.array_equal(prof, st.sigma)
     # spot check against the pointwise coefficient
@@ -153,8 +171,9 @@ def test_evolve_terminal_entry_variance(mixture):
     vals = []
     for trial in range(50):
         cfg = PathConfig(n=64, base_seed=12, trial=trial,
-                         schedule=geometric_uniform_schedule(1e-3, 300))
-        H = evolve(mixture, cfg, keep="last").states[0].H
+                         schedule=geometric_uniform_schedule(1e-3, 300),
+                         checkpoints=TERMINAL)
+        H = evolve(mixture, cfg).states[0].H
         vals.append(np.trace(H @ H) / 64)
     assert abs(np.mean(vals) - 1.0) < 0.05
 
