@@ -56,11 +56,6 @@ class CharacteristicCurve:
     def endpoint(self) -> complex:
         return complex(self.xi[-1])
 
-    @property
-    def u(self) -> np.ndarray:
-        """Diagnostic u(t) = 1 + Im <R>."""
-        return 1.0 + self.r.imag
-
 
 class PathTraceEvaluator:
     """Resolvent trace field of a matrix path.

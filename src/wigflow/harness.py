@@ -119,6 +119,8 @@ class ExperimentConfig:
             raise ConfigError("all N values must be >= 32")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.threads < 1:
+            raise ConfigError("threads must be >= 1")
         if self.n_im < 2 or self.n_re < 2:
             raise ConfigError("z-grid needs at least 2 x 2 points")
         if self.senergy_times < 1:
@@ -457,9 +459,9 @@ def _characteristic_trial(cfg, n, trial, path):
 
     # self-energy ratios at the curve endpoints: t = 1 over the z-grid
     final = path.states[-1]
-    er = EigenResolvent(final.H)
+    er, sigma = EigenResolvent(final.H), final.sigma   # sigma is recomputed per read
     for z in dom.z_grid(cfg.n_im, cfg.n_re).ravel():
-        st = self_energy_from_diag(final.sigma, er.diag(z), z)
+        st = self_energy_from_diag(sigma, er.diag(z), z)
         sen_rows.append((n, trial, 1.0, float(z.real), float(z.imag),
                          st.error, st.normalizer, st.ratio))
     # and along two curves at thinned interior checkpoints

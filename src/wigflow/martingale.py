@@ -8,7 +8,9 @@ the same dynamics entrywise at scale N^{-1/2},
 
 so that H(1) is a Wigner matrix with entry law rho and entry variance 1/N.
 The instantaneous variance rates sigma_ij = a(sqrt(N/t) H_ij)/N form the
-profile that feeds the self-energy operator.
+profile that feeds the self-energy operator.  A state stores H alone (8 MB
+at N = 1000, not 16 MB) and recomputes sigma from it on each access, at
+O(N^2) cost.  One kernel advances matrix paths, single steps and scalar paths.
 
 The SDE is singular at t = 0 (the coefficient argument is 0/0), so paths
 are initialized at a small t_init > 0 by sampling the known marginal
@@ -100,16 +102,22 @@ class PathConfig:
 
 @dataclass
 class MatrixState:
-    """H(t) with its variance profile at one time.  Exactly symmetric."""
+    """H(t) at one time, exactly symmetric: 8 MB at N = 1000, not 16 MB, as
+    sigma is not stored.  `sigma` is recomputed from H on each access, at
+    O(N^2) cost, bit for bit the profile the SDE step used."""
 
     t: float
     H: np.ndarray
-    sigma: np.ndarray
+    density: CalibratedDensity = field(repr=False, compare=False)
     clamp_count: int = 0
 
     @property
     def n(self) -> int:
         return self.H.shape[0]
+
+    @property
+    def sigma(self) -> np.ndarray:
+        return sigma_profile(self.density, self)
 
 
 @dataclass
@@ -132,10 +140,6 @@ class MatrixPath:
         return MatrixPath(config=config, states=states, total_clamps=self.total_clamps)
 
 
-def _upper(n: int):
-    return np.triu_indices(n)
-
-
 def _sym_from_upper(vec: np.ndarray, n: int, iu) -> np.ndarray:
     M = np.zeros((n, n))
     M[iu] = vec
@@ -143,32 +147,53 @@ def _sym_from_upper(vec: np.ndarray, n: int, iu) -> np.ndarray:
     return M
 
 
-def _sigma_upper(cd: CalibratedDensity, hu: np.ndarray, t: float, n: int, out=None, work=None):
-    x = np.multiply(hu, np.sqrt(n / t), out=out)
-    a, clamps = cd.a_clamped(x, out=x, work=work)
-    a /= n
-    return a, clamps
+class _Kernel:
+    """The entry SDE, advanced in place: the one copy of its update.  hu holds
+    independent entries at scale n^{-1/2} (the upper triangle of H, or n_paths
+    scalar paths at n = 1) at time t, su = a(sqrt(n/t) hu)/n their coefficient."""
+
+    def __init__(self, cd: CalibratedDensity, n: int, t: float, hu: np.ndarray, gen=None):
+        self.cd, self.n, self.hu, self.gen = cd, n, hu, gen
+        self.z, self.work = np.empty_like(hu), np.empty((4, hu.size))  # reused by every step
+        self._evaluate(t)
+
+    @classmethod
+    def exact(cls, cd, n, t, gen, size=None) -> "_Kernel":
+        """Entries at time t drawn from their exact marginal sqrt(t/n) * rho."""
+        x = sample_iid(cd, n * (n + 1) // 2 if size is None else size, gen)
+        return cls(cd, n, t, np.sqrt(t / n) * x, gen)
+
+    def _evaluate(self, t: float, out=None) -> None:
+        """su <- a(sqrt(n/t) hu)/n, counting the entries a clamped."""
+        self.t = float(t)
+        x = np.multiply(self.hu, np.sqrt(self.n / t), out=out)
+        self.su, self.clamps = self.cd.a_clamped(x, out=x, work=self.work)
+        self.su /= self.n
+
+    def advance(self, dt: float, t_new: float) -> None:
+        """Euler-Maruyama: su <- sqrt(su dt), hu += su z, then su at t_new."""
+        su = self.su
+        np.sqrt(np.multiply(su, dt, out=su), out=su)
+        self.hu += np.multiply(su, self.gen.standard_normal(out=self.z), out=su)
+        self._evaluate(t_new, out=su)
+
+    def state(self, iu) -> MatrixState:
+        return MatrixState(t=self.t, H=_sym_from_upper(self.hu, self.n, iu),
+                           density=self.cd, clamp_count=self.clamps)
 
 
 def init_exact(cd: CalibratedDensity, n: int, t_init: float,
                gen: np.random.Generator) -> MatrixState:
-    """Sample H(t_init) from its exact marginal and attach sigma."""
-    iu = _upper(n)
-    x = sample_iid(cd, iu[0].size, gen)
-    hu = np.sqrt(t_init / n) * x
-    su, clamps = _sigma_upper(cd, hu, t_init, n)
-    return MatrixState(t=float(t_init), H=_sym_from_upper(hu, n, iu),
-                       sigma=_sym_from_upper(su, n, iu), clamp_count=clamps)
+    """Sample H(t_init) from its exact marginal."""
+    return _Kernel.exact(cd, n, t_init, gen).state(np.triu_indices(n))
 
 
 def sigma_profile(cd: CalibratedDensity, state: MatrixState) -> np.ndarray:
     """Recompute sigma_ij = a(sqrt(N/t) H_ij)/N from the state."""
     if state.t <= 0:
         raise ValueError("sigma profile needs t > 0")
-    n = state.n
-    iu = _upper(n)
-    su, _ = _sigma_upper(cd, state.H[iu], state.t, n)
-    return _sym_from_upper(su, n, iu)
+    iu = np.triu_indices(state.n)
+    return _sym_from_upper(_Kernel(cd, state.n, state.t, state.H[iu]).su, state.n, iu)
 
 
 def step(cd: CalibratedDensity, state: MatrixState, dt: float,
@@ -179,51 +204,34 @@ def step(cd: CalibratedDensity, state: MatrixState, dt: float,
     t_new = state.t + dt
     if t_new > 1.0 + 1e-12:
         raise InvalidStep(f"step to t = {t_new} overshoots the terminal time 1")
-    n = state.n
-    iu = _upper(n)
-    hu = state.H[iu] + np.sqrt(state.sigma[iu] * dt) * gen.standard_normal(iu[0].size)
-    su, clamps = _sigma_upper(cd, hu, min(t_new, 1.0), n)
-    return MatrixState(t=min(t_new, 1.0), H=_sym_from_upper(hu, n, iu),
-                       sigma=_sym_from_upper(su, n, iu), clamp_count=clamps)
+    iu = np.triu_indices(state.n)
+    kernel = _Kernel(cd, state.n, state.t, state.H[iu], gen)
+    kernel.advance(dt, min(t_new, 1.0))
+    return kernel.state(iu)
 
 
 def evolve(cd: CalibratedDensity, config: PathConfig,
            gen: np.random.Generator | None = None) -> MatrixPath:
     """Integrate the matrix SDE over the configured schedule.
 
-    Only the states at config.checkpoints are materialized; pass
-    checkpoints=np.array([1.0]) to keep the terminal state alone.  The
-    random draws do not depend on the checkpoints, so a state is the same
-    bit for bit whichever other checkpoints are kept.
+    Only H at config.checkpoints is materialized (sigma is recomputed from
+    it when read); checkpoints=np.array([1.0]) keeps the terminal state
+    alone.  The random draws do not depend on the checkpoints, so a state
+    is the same bit for bit whichever other checkpoints are kept.
     """
     if gen is None:
         gen = streams.path_stream(config.base_seed, config.n, config.trial)
-    n = config.n
-    iu = _upper(n)
+    iu = np.triu_indices(config.n)
     sched = config.schedule
     is_checkpoint = np.isin(sched, config.checkpoints)
-
-    hu = np.sqrt(config.t_init / n) * sample_iid(cd, iu[0].size, gen)
-    su, clamps = _sigma_upper(cd, hu, config.t_init, n)
-    total_clamps = clamps
-    states = []
-
-    def materialize(t, hu, su, clamps):
-        states.append(MatrixState(t=float(t), H=_sym_from_upper(hu, n, iu),
-                                  sigma=_sym_from_upper(su, n, iu),
-                                  clamp_count=clamps))
-
-    if is_checkpoint[0]:
-        materialize(sched[0], hu, su, clamps)
-    z, work = np.empty_like(hu), np.empty((4, hu.size))  # reused by every step
+    kernel = _Kernel.exact(cd, config.n, config.t_init, gen)
+    total_clamps = kernel.clamps
+    states = [kernel.state(iu)] if is_checkpoint[0] else []
     for k in range(len(sched) - 1):
-        dt = sched[k + 1] - sched[k]
-        np.sqrt(np.multiply(su, dt, out=su), out=su)
-        hu += np.multiply(su, gen.standard_normal(out=z), out=su)
-        su, clamps = _sigma_upper(cd, hu, sched[k + 1], n, out=su, work=work)
-        total_clamps += clamps
+        kernel.advance(sched[k + 1] - sched[k], sched[k + 1])
+        total_clamps += kernel.clamps
         if is_checkpoint[k + 1]:
-            materialize(sched[k + 1], hu, su, clamps)
+            states.append(kernel.state(iu))
     return MatrixPath(config=config, states=states, total_clamps=total_clamps)
 
 
@@ -231,19 +239,18 @@ def evolve_scalar(cd: CalibratedDensity, t_grid: np.ndarray,
                   gen: np.random.Generator, n_paths: int = 1) -> np.ndarray:
     """Euler-Maruyama paths of the scalar martingale; shape (times, paths).
 
-    h(t_grid[0]) is sampled from its exact marginal sqrt(t) * rho, so the
-    statistical contract h(t)/sqrt(t) ~ rho holds at the start by
-    construction and approximately (to discretization order) afterwards.
+    The matrix kernel at N = 1 on n_paths independent entries.  h(t_grid[0])
+    is sampled from its exact marginal sqrt(t) * rho, so the statistical
+    contract h(t)/sqrt(t) ~ rho holds at the start by construction and
+    approximately (to discretization order) afterwards.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] <= 0:
         raise ValueError("t_grid must start at a positive time")
     out = np.empty((t_grid.size, n_paths))
-    h = np.sqrt(t_grid[0]) * sample_iid(cd, n_paths, gen)
-    out[0] = h
+    kernel = _Kernel.exact(cd, 1, t_grid[0], gen, size=n_paths)
+    out[0] = kernel.hu
     for k in range(t_grid.size - 1):
-        dt = t_grid[k + 1] - t_grid[k]
-        a, _ = cd.a_clamped(h / np.sqrt(t_grid[k]))
-        h = h + np.sqrt(a * dt) * gen.standard_normal(n_paths)
-        out[k + 1] = h
+        kernel.advance(t_grid[k + 1] - t_grid[k], t_grid[k + 1])
+        out[k + 1] = kernel.hu
     return out

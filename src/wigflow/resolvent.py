@@ -105,11 +105,6 @@ class EigenResolvent:
     def full(self, z: complex) -> np.ndarray:
         return (self._V * (1.0 / (self.eigenvalues - z))) @ self._V.T
 
-    def sample(self, z: complex) -> ResolventSample:
-        G = self.full(z)
-        return ResolventSample(z=complex(z), G=G,
-                               trace_mean=complex(np.mean(G.diagonal())))
-
 
 def s_op(sigma: np.ndarray, A: np.ndarray) -> np.ndarray:
     """S[sigma, A]: diagonal matrix with entries sum_k sigma_ik A_kk."""

@@ -150,6 +150,14 @@ def test_unknown_output_key_exit1(tmp_path, capsys):
     assert "dirr" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit1(tmp_path, capsys, threads):
+    cfgp = write_config(tmp_path, smoke_doc(tmp_path / "out"))
+    assert cli.main(["run", "--config", str(cfgp), "--threads", threads]) == 1
+    assert "threads must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------ cmd_run
 
 

@@ -118,6 +118,27 @@ def test_evolve_reaches_one_with_checkpoints(mixture):
         assert np.array_equal(st.H, st.H.T)
         assert np.all(st.sigma > 0)
         assert np.all(st.sigma <= mixture.a_sup / cfg.n + 1e-15)
+        # a state holds H alone; sigma is recomputed from it
+        arrays = [v for v in vars(st).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) == cfg.n ** 2 * 8
+
+
+def test_step_replays_evolve(mixture):
+    # init_exact and step run the kernel evolve runs: same draws, same bits
+    sched = geometric_uniform_schedule(1e-3, 20)
+    # step lands on t + dt, so every schedule time must be reached exactly
+    assert np.array_equal(sched[:-1] + np.diff(sched), sched[1:])
+    path = evolve(mixture, PathConfig(n=12, base_seed=16, schedule=sched,
+                                      checkpoints=sched))
+    gen = streams.path_stream(16, 12, 0)
+    st = init_exact(mixture, 12, sched[0], gen)
+    for k, ref in enumerate(path.states):
+        if k:
+            st = step(mixture, st, sched[k] - sched[k - 1], gen)
+        assert st.t == ref.t
+        assert np.array_equal(st.H, ref.H)
+        assert np.array_equal(st.sigma, ref.sigma)
+        assert st.clamp_count == ref.clamp_count
 
 
 def test_evolve_terminal_checkpoint_only(mixture):
