@@ -6,10 +6,16 @@ paths and one of gaussian paths at N in {125, 250, 500, 1000}, reused by
 the scaling criteria (8, 9, 10), plus one 50-trial characteristics report
 reused by criteria 6 and 7.  Ensemble realizations are identical to what
 the harness would draw for the same config because path streams depend
-only on (seed, N, trial).
+only on (seed, N, trial); for the same reason the mixture ensemble,
+whose time goes to the entry SDE, spreads its (N, trial) tasks over POOL
+forked processes without changing a statistic.  The gaussian ensemble and
+the characteristics report stay serial: their time goes to dense linear
+algebra, which already runs on every core.
 """
 
 import filecmp
+import multiprocessing
+import os
 import time
 from dataclasses import replace
 
@@ -33,46 +39,66 @@ N_VALUES = (125, 250, 500, 1000)
 TRIALS = 20
 MIX = DensitySpec.mixture((0.5, 0.5), (np.sqrt(0.5), np.sqrt(1.5)))
 TERMINAL = np.array([1.0])
+POOL = min(2, len(os.sched_getaffinity(0)))   # processes for the mixture ensemble
 
 _MAP_COL = dict(zip(CHAR_MAP_COLUMNS, range(len(CHAR_MAP_COLUMNS))))
+_ENSEMBLE = None   # (cfg, cd, with_senergy), inherited by the forked workers
 
 
-def _ensemble_stats(spec, n_steps, with_senergy):
-    """Evolve TRIALS paths per N and reduce each to small statistics.
+def _trial_stats(task):
+    """Evolve one path and reduce it to small statistics.
 
-    Matrices are dropped right after use: only trace errors, self-energy
+    The matrix is dropped right after use: only trace errors, self-energy
     ratios, and N = 500 entrywise maxima are kept.
     """
-    cfg = ExperimentConfig(density=spec, n_values=N_VALUES, trials=TRIALS,
-                           base_seed=SEED, n_steps=n_steps)
-    cd = calibrate(spec)
+    n, trial = task
+    cfg, cd, with_senergy = _ENSEMBLE
+    dom = cfg.domain(n)
+    path = evolve(cd, cfg.path_config(n, trial, checkpoints=TERMINAL))
+    H1, sig1 = path.states[-1].H, path.states[-1].sigma
+    er = EigenResolvent(H1)
+    lsc_rows, senergy, entry_rows = [], [], []
+    for z in dom.z_grid(8, 9).ravel():
+        gd = er.diag(z)
+        tm = complex(gd.mean())
+        lsc_rows.append((n, trial, float(z.real), float(z.imag),
+                         float(abs(tm - msc(z))),
+                         float(1.0 / np.sqrt(n * z.imag))))
+        if with_senergy:
+            senergy.append(self_energy_from_diag(sig1, gd, z).ratio)
+    if n == 500:
+        rep = run_entrywise(H1, dom, n_im=8, n_re=3)
+        entry_rows.extend((n, trial) + r for r in rep.rows)
+    return lsc_rows, senergy, entry_rows
+
+
+def _ensemble_stats(spec, n_steps, with_senergy, processes=1):
+    """Evolve TRIALS paths per N; statistics are concatenated in task order."""
+    global _ENSEMBLE
+    _ENSEMBLE = (ExperimentConfig(density=spec, n_values=N_VALUES,
+                                  trials=TRIALS, base_seed=SEED,
+                                  n_steps=n_steps),
+                 calibrate(spec), with_senergy)
+    tasks = [(n, trial) for n in N_VALUES for trial in range(TRIALS)]
+    largest_first = sorted(tasks, key=lambda task: -task[0])
+    with multiprocessing.get_context("fork").Pool(processes) as pool:
+        results = dict(zip(largest_first, pool.map(_trial_stats, largest_first,
+                                                   chunksize=1)))
     lsc_rows, senergy, entry_rows = [], {}, []
-    for n in N_VALUES:
-        dom = cfg.domain(n)
-        zg = dom.z_grid(8, 9).ravel()
-        for trial in range(TRIALS):
-            path = evolve(cd, cfg.path_config(n, trial, checkpoints=TERMINAL))
-            H1, sig1 = path.states[-1].H, path.states[-1].sigma
-            er = EigenResolvent(H1)
-            for z in zg:
-                gd = er.diag(z)
-                tm = complex(gd.mean())
-                lsc_rows.append((n, trial, float(z.real), float(z.imag),
-                                 float(abs(tm - msc(z))),
-                                 float(1.0 / np.sqrt(n * z.imag))))
-                if with_senergy:
-                    senergy.setdefault(n, []).append(
-                        self_energy_from_diag(sig1, gd, z).ratio)
-            if n == 500:
-                rep = run_entrywise(H1, dom, n_im=8, n_re=3)
-                entry_rows.extend((n, trial) + r for r in rep.rows)
+    for n, trial in tasks:
+        lsc, sen, entry = results[n, trial]
+        lsc_rows.extend(lsc)
+        if with_senergy:
+            senergy.setdefault(n, []).extend(sen)
+        entry_rows.extend(entry)
     return {"lsc_rows": lsc_rows, "senergy": senergy,
             "entry_rows": entry_rows}
 
 
 @pytest.fixture(scope="session")
 def mixture_stats():
-    return _ensemble_stats(MIX, n_steps=1000, with_senergy=True)
+    return _ensemble_stats(MIX, n_steps=1000, with_senergy=True,
+                           processes=POOL)
 
 
 @pytest.fixture(scope="session")
