@@ -7,9 +7,10 @@ trace mean.  The forward characteristic solves
 
 along which the trace process <R(t, gamma)> is approximately conserved;
 lambda is its time reversal, run upward from the evaluation window so
-that gamma(1, lambda(1, z)) = z.  Curves are stopped (time and value
-frozen) the moment Im falls to eta/4, matching the stopped-process
-semantics of the estimates being tested.
+that gamma(1, lambda(1, z)) = z.  Forward curves are stopped (time and
+value frozen) the moment Im falls to eta/4, matching the stopped-process
+semantics of the estimates being tested.  Both directions run on one
+fixed-step RK4 driver.
 
 Fields come in two flavors: the deterministic frozen-semicircle stand-in
 (closed-form checks) and PathTraceEvaluator, which couples the flow to a
@@ -19,14 +20,14 @@ the midpoints the integrator visits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg, optimize
 
 from .domains import SpectralDomain
 from .martingale import MatrixPath
-from .resolvent import resolvent, t_op
+from .resolvent import EigenResolvent, t_op
 
 
 class ODEStepFailure(Exception):
@@ -47,7 +48,6 @@ class CharacteristicCurve:
     r: np.ndarray
     stopped: bool = False
     tau: float | None = None        # first time Im xi reaches eta/4
-    tau_half: float | None = None   # first time Im xi reaches eta/2
     drift_sup: float = 0.0          # sup_t |<R(t)> - <R(0)>|
     ratio: float = 0.0              # drift_sup * sqrt(N eta)
     reverse_time: bool = False
@@ -72,13 +72,9 @@ class PathTraceEvaluator:
         if len(states) < 2:
             raise ValueError("path must retain at least two checkpoints")
         self.n = states[0].n
-        cpt = [s.t for s in states]
-        self.ode_times = np.concatenate([[0.0], cpt])
-        self._lam = {}
-        zero = np.zeros(self.n)
-        self._lam[0.0] = zero
-        prev_H = None
-        prev_t = 0.0
+        self.ode_times = np.concatenate([[0.0], [s.t for s in states]])
+        self._lam = {0.0: np.zeros(self.n)}
+        prev_H, prev_t = None, 0.0
         for s in states:
             mid = prev_t + 0.5 * (s.t - prev_t)
             Hmid = 0.5 * s.H if prev_H is None else 0.5 * (prev_H + s.H)
@@ -101,7 +97,7 @@ class PathTraceEvaluator:
 
     def _insert(self, t: float) -> np.ndarray:
         states = self._path.states
-        cpt = np.array([s.t for s in states])
+        cpt = self.ode_times[1:]
         if not 0.0 <= t <= cpt[-1]:
             raise ValueError(f"time {t} outside the path range")
         j = int(np.searchsorted(cpt, t))
@@ -129,104 +125,80 @@ def _rk4(f, t, x, dt):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _interp_crossing(times, imag_vals, level):
-    below = np.nonzero(imag_vals <= level)[0]
-    if below.size == 0:
-        return None
-    k = int(below[0])
-    if k == 0:
-        return float(times[0])
-    t0, t1 = times[k - 1], times[k]
-    y0, y1 = imag_vals[k - 1], imag_vals[k]
-    return float(t0 + (y0 - level) / (y0 - y1) * (t1 - t0))
+def _integrate(drift_field, x0: complex, dom: SpectralDomain,
+               t_grid: np.ndarray, reverse_time: bool) -> CharacteristicCurve:
+    """The one fixed-step RK4 loop behind both characteristic flows.
 
-
-def flow_gamma(drift_field, z0: complex, dom: SpectralDomain,
-               t_grid: np.ndarray) -> CharacteristicCurve:
-    """Forward characteristic from z0, stopped at Im = eta/4.
-
-    Fixed-step classical fourth-order integration on t_grid; the stopping
-    time is located by bisection on the final step's length, after which
-    position and trace value are frozen.
+    Forward, it solves d/dt x = -field(t, x) on t_grid and stops at
+    Im = eta/4: the stopping time is located by bisection on the final
+    step's length, after which position and trace value are frozen.
+    Reversed, it solves d/ds x = +field(1 - s, x) on s = 1 - t_grid
+    (reversed) and never stops; the s-grid mirrors t_grid so field
+    evaluations land on the same times.
     """
-    z0 = complex(z0)
-    if not dom.in_D0(z0):
-        raise ValueError(f"initial point {z0:.6g} outside the initial domain")
     t_grid = np.asarray(t_grid, dtype=float)
-    eta4 = 0.25 * dom.eta
+    if reverse_time:
+        grid, stop_level = 1.0 - t_grid[::-1], None
 
-    def f(t, w):
-        return -drift_field(t, w)
+        def trace(s, w):
+            return drift_field(1.0 - s, w)
+        f = trace
+    else:
+        grid, stop_level, trace = t_grid, 0.25 * dom.eta, drift_field
 
-    m = t_grid.size
+        def f(t, w):
+            return -drift_field(t, w)
+
+    m = grid.size
     xi = np.empty(m, dtype=complex)
     r = np.empty(m, dtype=complex)
-    xi[0] = z0
-    r[0] = drift_field(t_grid[0], z0)
-    stopped = False
+    xi[0] = x0
+    r[0] = trace(grid[0], x0)
     tau = None
     for k in range(m - 1):
-        t, dt = t_grid[k], t_grid[k + 1] - t_grid[k]
+        t, dt = grid[k], grid[k + 1] - grid[k]
         nxt = _rk4(f, t, xi[k], dt)
         if not np.isfinite(nxt):
-            raise ODEStepFailure(f"non-finite position at t = {t_grid[k + 1]:.6g}")
-        if nxt.imag > eta4:
+            var = "s" if reverse_time else "t"
+            raise ODEStepFailure(f"non-finite position at {var} = {grid[k + 1]:.6g}")
+        if stop_level is None or nxt.imag > stop_level:
             xi[k + 1] = nxt
-            r[k + 1] = drift_field(t_grid[k + 1], nxt)
+            r[k + 1] = trace(grid[k + 1], nxt)
             continue
         # locate the crossing on the step fraction; root evaluations reuse
         # the cached field times at the interval ends and midpoint
         def gap(s):
-            return _rk4(f, t, xi[k], s * dt).imag - eta4
+            return _rk4(f, t, xi[k], s * dt).imag - stop_level
 
         s_stop = optimize.brentq(gap, 0.0, 1.0, xtol=1e-14, rtol=1e-15)
         y = _rk4(f, t, xi[k], s_stop * dt) if s_stop > 0.0 else xi[k]
         tau = float(t + s_stop * dt)
-        frozen_r = drift_field(tau, y)
         xi[k + 1:] = y
-        r[k + 1:] = frozen_r
-        stopped = True
+        r[k + 1:] = trace(tau, y)
         break
     drift_sup = float(np.max(np.abs(r - r[0])))
-    curve = CharacteristicCurve(
-        z0=z0, times=t_grid, xi=xi, r=r, stopped=stopped, tau=tau,
-        tau_half=_interp_crossing(t_grid, xi.imag, 0.5 * dom.eta),
-        drift_sup=drift_sup, ratio=drift_sup * np.sqrt(dom.n * dom.eta))
-    return curve
+    return CharacteristicCurve(
+        z0=x0, times=grid, xi=xi, r=r, stopped=tau is not None, tau=tau,
+        drift_sup=drift_sup, ratio=drift_sup * np.sqrt(dom.n * dom.eta),
+        reverse_time=reverse_time)
+
+
+def flow_gamma(drift_field, z0: complex, dom: SpectralDomain,
+               t_grid: np.ndarray) -> CharacteristicCurve:
+    """Forward characteristic from z0, stopped at Im = eta/4."""
+    z0 = complex(z0)
+    if not dom.in_D0(z0):
+        raise ValueError(f"initial point {z0:.6g} outside the initial domain")
+    return _integrate(drift_field, z0, dom, t_grid, reverse_time=False)
 
 
 def flow_lambda(drift_field, zeta: complex, dom: SpectralDomain,
                 t_grid: np.ndarray) -> CharacteristicCurve:
-    """Time-reversed characteristic from zeta in the evaluation window.
-
-    Solves d/ds lambda = +field(1 - s, lambda) upward on s in [0, 1]; the
-    s-grid mirrors t_grid so field evaluations land on the same times.
-    """
+    """Time-reversed characteristic from zeta in the evaluation window."""
     zeta = complex(zeta)
     if not dom.in_D(zeta):
         raise ValueError(f"initial point {zeta:.6g} outside the evaluation window")
-    t_grid = np.asarray(t_grid, dtype=float)
-    s_grid = 1.0 - t_grid[::-1]
-
-    def f(s, lam):
-        return drift_field(1.0 - s, lam)
-
-    m = s_grid.size
-    xi = np.empty(m, dtype=complex)
-    r = np.empty(m, dtype=complex)
-    xi[0] = zeta
-    r[0] = drift_field(1.0, zeta)
-    for k in range(m - 1):
-        s, ds = s_grid[k], s_grid[k + 1] - s_grid[k]
-        nxt = _rk4(f, s, xi[k], ds)
-        if not np.isfinite(nxt):
-            raise ODEStepFailure(f"non-finite position at s = {s_grid[k + 1]:.6g}")
-        xi[k + 1] = nxt
-        r[k + 1] = drift_field(1.0 - s_grid[k + 1], nxt)
-    drift_sup = float(np.max(np.abs(r - r[0])))
-    return CharacteristicCurve(
-        z0=zeta, times=s_grid, xi=xi, r=r, drift_sup=drift_sup,
-        ratio=drift_sup * np.sqrt(dom.n * dom.eta), reverse_time=True)
+    return _integrate(drift_field, zeta, dom, t_grid, reverse_time=True)
 
 
 @dataclass
@@ -236,27 +208,12 @@ class MapResult:
     w: complex
     residual: float     # |w + 1/w - z|, the semicircle-map defect
     in_D0: bool
-    curve: CharacteristicCurve
 
 
 def map_to_initial(drift_field, z: complex, dom: SpectralDomain,
                    t_grid: np.ndarray) -> MapResult:
-    curve = flow_lambda(drift_field, z, dom, t_grid)
-    w = curve.endpoint
-    return MapResult(w=w, residual=float(abs(w + 1.0 / w - z)),
-                     in_D0=dom.in_D0(w), curve=curve)
-
-
-def stopped_process(path_or_field, z0: complex, dom: SpectralDomain,
-                    t_grid: np.ndarray | None = None) -> CharacteristicCurve:
-    """Trace process along the stopped forward characteristic of a path."""
-    if isinstance(path_or_field, MatrixPath):
-        path_or_field = PathTraceEvaluator(path_or_field)
-    if t_grid is None:
-        t_grid = getattr(path_or_field, "ode_times", None)
-        if t_grid is None:
-            raise ValueError("t_grid required for a bare drift field")
-    return flow_gamma(path_or_field, z0, dom, t_grid)
+    w = flow_lambda(drift_field, z, dom, t_grid).endpoint
+    return MapResult(w=w, residual=float(abs(w + 1.0 / w - z)), in_D0=dom.in_D0(w))
 
 
 @dataclass
@@ -295,12 +252,11 @@ def drift_decomposition(path: MatrixPath, curve: CharacteristicCurve) -> DriftDe
     if curve.stopped:
         last = int(np.nonzero(curve.times >= curve.tau)[0][0]) - 1
     for k in range(last):
-        t0 = curve.times[k]
-        dt = curve.times[k + 1] - t0
+        dt = curve.times[k + 1] - curve.times[k]
         H0 = np.zeros((n, n)) if k == 0 else states[k - 1].H
         H1 = states[k].H
         sig = states[0].sigma if k == 0 else states[k - 1].sigma
-        R = resolvent(H0, curve.xi[k], check=False).G
+        R = EigenResolvent(H0).full(curve.xi[k])
         RR = R @ R
         X = (H1 - H0) - dt * t_op(sig, R)
         F[k + 1] = F[k] - np.einsum("ij,ji->", X, RR) / n

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import sys
 from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -41,7 +42,7 @@ from .domains import SpectralDomain, msc
 from .flows import PathTraceEvaluator, contraction_check, flow_gamma, map_to_initial
 from .martingale import (PathConfig, checkpoint_times, evolve,
                          geometric_uniform_schedule)
-from .resolvent import EigenResolvent, resolvent, self_energy_error, self_energy_from_diag
+from .resolvent import EigenResolvent, self_energy_from_diag
 
 
 class ConfigError(Exception):
@@ -432,7 +433,7 @@ def _characteristic_trial(cfg, n, trial, path):
     tg = ev.ode_times
     z_row = np.linspace(cfg.W[0], cfg.W[1], cfg.n_re) + 1j * cfg.char_im
 
-    map_rows, pair_rows, sen_rows = [], [], []
+    map_rows, pair_rows = [], []
     curves = []
     for z in z_row:
         mr = map_to_initial(ev, z, dom, tg)
@@ -442,9 +443,8 @@ def _characteristic_trial(cfg, n, trial, path):
             drift, ratio = fc.drift_sup, float(fc.ratio)
             stopped, tau = int(fc.stopped), (fc.tau if fc.stopped else float("nan"))
         else:
-            fc, rt = None, float("nan")
-            drift = ratio = float("nan")
-            stopped, tau = 0, float("nan")
+            fc, stopped = None, 0
+            rt = drift = ratio = tau = float("nan")
         curves.append(fc)
         map_rows.append((n, trial, float(z.real), float(z.imag),
                          float(mr.w.real), float(mr.w.imag),
@@ -457,28 +457,29 @@ def _characteristic_trial(cfg, n, trial, path):
                               float(z_row[i + 1].real), float(cfg.char_im),
                               float(ratio)))
 
+    def senergy(t, er, sigma, z):
+        st = self_energy_from_diag(sigma, er.diag(z), z)
+        return (n, trial, t, float(z.real), float(z.imag),
+                st.error, st.normalizer, st.ratio)
+
     # self-energy ratios at the curve endpoints: t = 1 over the z-grid
     final = path.states[-1]
     er, sigma = EigenResolvent(final.H), final.sigma   # sigma is recomputed per read
-    for z in dom.z_grid(cfg.n_im, cfg.n_re).ravel():
-        st = self_energy_from_diag(sigma, er.diag(z), z)
-        sen_rows.append((n, trial, 1.0, float(z.real), float(z.imag),
-                         st.error, st.normalizer, st.ratio))
-    # and along two curves at thinned interior checkpoints
+    sen_rows = [senergy(1.0, er, sigma, z) for z in dom.z_grid(cfg.n_im, cfg.n_re).ravel()]
+    # and along two curves at thinned interior checkpoints, one
+    # decomposition per checkpoint shared by both; rows stay curve by curve
     idxs = sorted(set(np.linspace(1, tg.size - 2, cfg.senergy_times).astype(int)))
-    for ci in (0, cfg.n_re // 2):
-        fc = curves[ci]
-        if fc is None:
-            continue
-        for k in idxs:
-            if fc.stopped and tg[k] >= fc.tau:
-                break
-            state = path.states[k - 1]
-            sample = resolvent(state.H, complex(fc.xi[k]), check=False)
-            st = self_energy_error(state.sigma, sample)
-            sen_rows.append((n, trial, float(tg[k]),
-                             float(fc.xi[k].real), float(fc.xi[k].imag),
-                             st.error, st.normalizer, st.ratio))
+    along = [(curves[ci], []) for ci in (0, cfg.n_re // 2) if curves[ci] is not None]
+    for k in idxs:
+        live = [(fc, rows) for fc, rows in along if fc.tau is None or tg[k] < fc.tau]
+        if not live:
+            break
+        state = path.states[k - 1]
+        er, sigma = EigenResolvent(state.H), state.sigma
+        for fc, rows in live:
+            rows.append(senergy(float(tg[k]), er, sigma, complex(fc.xi[k])))
+    for _fc, rows in along:
+        sen_rows.extend(rows)
     return map_rows, pair_rows, sen_rows
 
 
@@ -616,7 +617,7 @@ def _worker_init(state):
         try:
             from threadpoolctl import threadpool_limits
             _THREAD_LIMIT = threadpool_limits(limits=1)
-        except Exception:
+        except ImportError:
             _THREAD_LIMIT = False
 
 
@@ -629,6 +630,11 @@ def _map_trials(worker, state, threads, tasks):
             return [worker(t) for t in tasks]
         finally:
             _STATE = None
+    try:
+        import threadpoolctl  # noqa: F401  (the workers limit BLAS with it)
+    except ImportError:
+        print("wigflow: threadpoolctl is not installed; pool workers run BLAS "
+              "at its default thread count", file=sys.stderr)
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=min(threads, len(tasks)),
                   initializer=_worker_init, initargs=(state,)) as pool:

@@ -15,7 +15,7 @@ from wigflow.density import DensitySpec, calibrate
 from wigflow.domains import SpectralDomain, frozen_semicircle_drift, msc
 from wigflow.flows import (CharacteristicCurve, PathTraceEvaluator,
                            contraction_check, drift_decomposition, flow_gamma,
-                           flow_lambda, map_to_initial, stopped_process)
+                           flow_lambda, map_to_initial, ODEStepFailure)
 from wigflow.martingale import (PathConfig, checkpoint_times, evolve,
                                 geometric_uniform_schedule)
 
@@ -52,7 +52,6 @@ def test_stub_gamma_stopping():
     assert np.all(c.xi[k:] == c.endpoint)          # frozen after the stop
     assert np.all(c.r[k:] == c.r[-1])
     assert abs(c.r[-1] - (-1.0 / zeta)) <= 1e-6
-    assert c.tau_half is not None and c.tau_half < c.tau
 
 
 def test_stub_gamma_rejects_bad_start():
@@ -107,6 +106,16 @@ def test_contraction_requires_shared_grid():
     c2 = flow_gamma(frozen_semicircle_drift, SAFE[1], DOM, np.linspace(0, 1, 21))
     with pytest.raises(ValueError):
         contraction_check(c1, c2)
+
+
+@pytest.mark.parametrize("flow, start", [(flow_gamma, SAFE[0]),
+                                         (flow_lambda, 0.4 + 0.5j)])
+def test_non_finite_field_raises_step_failure(flow, start):
+    def nan_field(_t, _w):
+        return complex(np.nan, np.nan)
+
+    with pytest.raises(ODEStepFailure):
+        flow(nan_field, start, DOM, GRID)
 
 
 def test_imaginary_part_integrates_the_trace():
@@ -167,8 +176,8 @@ def test_evaluator_midpoints_and_inserts(gauss_path):
 def test_stopped_process_on_path(gauss_path):
     _, path = gauss_path
     dom = SpectralDomain(n=60)
-    c = stopped_process(path, 0.5 + 0.9j, dom)
     ev = PathTraceEvaluator(path)
+    c = flow_gamma(ev, 0.5 + 0.9j, dom, ev.ode_times)
     assert np.array_equal(c.times, ev.ode_times)
     assert abs(c.r[0] - (-1.0 / (0.5 + 0.9j))) <= 1e-15
     assert np.all(c.xi.imag >= 0.25 * dom.eta * (1.0 - 1e-9))
@@ -176,7 +185,7 @@ def test_stopped_process_on_path(gauss_path):
     assert c.ratio == c.drift_sup * np.sqrt(60 * dom.eta)
     # coarse sanity: the trace does not wander far at this size
     assert c.drift_sup <= 2.0
-    again = stopped_process(path, 0.5 + 0.9j, dom)
+    again = flow_gamma(PathTraceEvaluator(path), 0.5 + 0.9j, dom, ev.ode_times)
     assert np.array_equal(c.xi, again.xi) and np.array_equal(c.r, again.r)
 
 
@@ -193,7 +202,8 @@ def test_lambda_on_path(gauss_path):
 def test_path_integration_identity(gauss_path):
     _, path = gauss_path
     dom = SpectralDomain(n=60)
-    c = stopped_process(path, 0.3 + 0.9j, dom)
+    ev = PathTraceEvaluator(path)
+    c = flow_gamma(ev, 0.3 + 0.9j, dom, ev.ode_times)
     stop = c.times.size if not c.stopped else int(np.nonzero(c.times >= c.tau)[0][0])
     im_r = c.r.imag[:stop]
     im_xi = c.xi.imag[:stop]
@@ -209,7 +219,8 @@ def test_drift_decomposition_algebra(gauss_path):
     from wigflow.resolvent import resolvent, s_op, t_op
     _, path = gauss_path
     dom = SpectralDomain(n=60)
-    c = stopped_process(path, 0.4 + 1.0j, dom)
+    ev = PathTraceEvaluator(path)
+    c = flow_gamma(ev, 0.4 + 1.0j, dom, ev.ode_times)
     assert not c.stopped
     d = drift_decomposition(path, c)
     assert d.F[0] == 0.0 and d.A[0] == 0.0
@@ -247,7 +258,8 @@ def test_drift_decomposition_reconstructs(gauss_path):
             cfg = PathConfig(n=60, base_seed=seed, schedule=sched,
                              checkpoints=checkpoint_times(sched, n_checkpoints=ncp))
             p = evolve(cd, cfg)
-            c = stopped_process(p, 0.4 + 1.0j, dom)
+            ev = PathTraceEvaluator(p)
+            c = flow_gamma(ev, 0.4 + 1.0j, dom, ev.ode_times)
             res[ncp].append(drift_decomposition(p, c).reconstruction_residual)
     assert np.mean(res[81]) <= 0.7 * np.mean(res[11])
     assert max(res[81]) <= 0.1

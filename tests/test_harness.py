@@ -2,6 +2,7 @@
 
 import csv
 import filecmp
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -9,14 +10,16 @@ import pytest
 
 from wigflow.density import DensitySpec, calibrate
 from wigflow.domains import SpectralDomain, msc
-from wigflow import harness
+from wigflow import flows, harness
+from wigflow import resolvent as resolvent_module
 from wigflow.harness import (CHAR_MAP_COLUMNS, ConfigError, DegenerateFit,
                              EmptySample, ExperimentConfig, TrialFailure,
                              aggregate_lsc, domination_quantile,
                              failure_fraction, fit_scaling,
                              nearest_schedule_times, run_entrywise,
                              run_experiments, write_report_csv)
-from wigflow.martingale import geometric_uniform_schedule
+from wigflow.martingale import evolve, geometric_uniform_schedule
+from wigflow.resolvent import self_energy_error
 
 
 def small_config(**kw):
@@ -320,3 +323,45 @@ def test_evolve_failure_fails_every_experiment(monkeypatch):
         assert [(f.trial, f.message) for f in rep.failures] == [(1, "ValueError: no path")]
     assert {r[1] for r in reps["lsc"].rows["lsc"]} == {0, 2}
     assert reps["marginal"].rows["marginal"][0][2] == 2 * 64 * 65 // 2
+
+
+def test_dense_solve_is_an_oracle_only(monkeypatch):
+    oracle = resolvent_module.resolvent
+
+    def banned(*_args, **_kwargs):
+        raise AssertionError("dense resolvent solve called")
+
+    for module in (resolvent_module, harness, flows):
+        monkeypatch.setattr(module, "resolvent", banned, raising=False)
+    cfg = small_config(density=DensitySpec.mixture((0.5, 0.5), (0.5, 1.2)),
+                       trials=2, n_steps=60, n_checkpoints=11, n_re=3, n_im=3,
+                       senergy_times=3)
+    reps = run_experiments(cfg, harness.EXPERIMENT_NAMES)
+    assert all(not rep.failures for rep in reps.values())
+
+    # the along-curve self-energy rows agree with the residual-checked solve
+    cd = calibrate(cfg.density)
+    times = harness.EXPERIMENTS["characteristics"].times(cfg)
+    along = [r for r in reps["characteristics"].rows["characteristics_senergy"]
+             if r[2] != 1.0]
+    assert {r[1] for r in along} == {0, 1}
+    for trial in (0, 1):
+        path = evolve(cd, cfg.path_config(64, trial, checkpoints=times))
+        by_t = {s.t: s for s in path.states}
+        for _n, _trial, t, re, im, error, normalizer, ratio in (
+                r for r in along if r[1] == trial):
+            state = by_t[t]
+            st = self_energy_error(state.sigma, oracle(state.H, complex(re, im)))
+            assert st.error > 0.0
+            assert (error, normalizer, ratio) == pytest.approx(
+                (st.error, st.normalizer, st.ratio), rel=1e-10, abs=0.0)
+
+
+def test_pool_warns_without_threadpoolctl(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    cfg = small_config(trials=2, threads=2)
+    rep = run_one(cfg, "lsc")
+    assert not rep.failures
+    err = capsys.readouterr().err
+    assert err.count("threadpoolctl is not installed") == 1
+    assert rep.rows == run_one(replace(cfg, threads=1), "lsc").rows

@@ -152,6 +152,13 @@ def test_minor_identity_random():
     assert st.identity_residual < 1e-10
 
 
+def test_minor_rejects_lower_half():
+    H = wigner(10, 1)
+    for z in (-1j, 0.5 + 0j):
+        with pytest.raises(ValueError):
+            minor_resolvent(H, 0, z)
+
+
 def test_minor_kk_entry():
     st = minor_resolvent(wigner(30, 11), 4, 0.3 + 0.8j)
     assert st.minor.G[4, 4] == pytest.approx(-1.0 / (0.3 + 0.8j), abs=1e-12)
