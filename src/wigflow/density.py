@@ -8,7 +8,9 @@ which drives the entry martingales: the quadratic variation rate of a
 rescaled entry sitting at h is a(h).  The construction requires a to be
 positive, bounded and Lipschitz; sub-Gaussian tails guarantee this,
 while heavier tails make a grow without bound (for exponential tails a
-is asymptotically linear).  Calibration standardizes a density spec,
+is asymptotically linear).  Two families are evaluated: centered Gaussian
+scale mixtures in closed form (the standard Gaussian is the one-component
+member) and tabulated densities.  Calibration standardizes a density spec,
 tabulates rho / CDF / T / a on a working interval, runs the boundedness
 heuristics, and returns one immutable object that every other module
 consumes.
@@ -16,7 +18,7 @@ consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -30,6 +32,19 @@ TABULATED = "tabulated"
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 # Truncation density level: the working interval ends where rho falls below this.
 _RHO_CUT = 1e-20
+# Tabulation points on [-h_max, h_max]; odd, so the grid contains 0.
+_RESOLUTION = 4001
+# Unbounded-a heuristic: relative growth allowed over the outer fraction of the interval.
+_WINDOW_FRAC = 0.2
+_GROWTH_TOL = 0.10
+# Admissibility bounds checked by verify_assumption.
+_A_BOUND = 100.0
+_LIPSCHITZ_BOUND = 100.0
+_MOMENT_TOL = 1e-8
+_INTEGRAL_TOL = 1e-8
+# Density keys each kind reads from a config.
+_CONFIG_KEYS = {GAUSSIAN: {"kind"}, MIXTURE: {"kind", "weights", "sigmas"},
+                TABULATED: {"kind", "grid_h", "grid_rho"}}
 
 
 class DensityError(Exception):
@@ -59,23 +74,29 @@ class QuadratureFailure(DensityError):
     """A quadrature underlying reconstruction did not converge."""
 
 
-def _phi(x):
-    return np.exp(-0.5 * np.square(x)) / _SQRT2PI
+def _mix_sum(coef, h, s):
+    """sum_i coef_i phi(h / s_i) for the standard normal density phi."""
+    z = np.asarray(h, dtype=float)[..., None] / s
+    return (coef * (np.exp(-0.5 * np.square(z)) / _SQRT2PI)).sum(axis=-1)
 
 
 @dataclass
 class DensitySpec:
-    """Declarative description of an entry density before calibration."""
+    """Declarative description of an entry density before calibration.
+
+    The standard Gaussian is the one-component centered mixture: it keeps
+    its own kind label but carries weights (1,) and sigmas (1,).
+    """
 
     kind: str
-    weights: tuple = ()            # gaussian-mixture only
+    weights: tuple = ()            # the Gaussian and mixture kinds
     sigmas: tuple = ()             # component standard deviations
     grid_h: np.ndarray | None = None   # tabulated only
     grid_rho: np.ndarray | None = None
 
     @classmethod
     def gaussian(cls) -> "DensitySpec":
-        return cls(kind=GAUSSIAN)
+        return cls(kind=GAUSSIAN, weights=(1.0,), sigmas=(1.0,))
 
     @classmethod
     def mixture(cls, weights: Sequence[float], sigmas: Sequence[float]) -> "DensitySpec":
@@ -89,23 +110,24 @@ class DensitySpec:
 
     @classmethod
     def from_config(cls, cfg: Mapping) -> "DensitySpec":
-        known = {"kind", "weights", "sigmas", "grid_h", "grid_rho"}
-        unknown = set(cfg) - known
-        if unknown:
-            raise ValueError(f"unknown density config keys: {sorted(unknown)}")
+        if not isinstance(cfg, Mapping):
+            raise ValueError(f"expected an object, got {type(cfg).__name__}")
         kind = cfg.get("kind")
+        if kind not in _CONFIG_KEYS:
+            raise ValueError(f"unknown density kind: {kind!r}")
+        extra = set(cfg) - _CONFIG_KEYS[kind]
+        if extra:
+            raise ValueError(f"density keys {sorted(extra)} do not belong to kind {kind!r}")
         if kind == GAUSSIAN:
             return cls.gaussian()
         if kind == MIXTURE:
             return cls.mixture(cfg["weights"], cfg["sigmas"])
-        if kind == TABULATED:
-            return cls.tabulated(cfg["grid_h"], cfg["grid_rho"])
-        raise ValueError(f"unknown density kind: {kind!r}")
+        return cls.tabulated(cfg["grid_h"], cfg["grid_rho"])
 
     def validate(self) -> None:
-        if self.kind == GAUSSIAN:
-            return
-        if self.kind == MIXTURE:
+        if self.kind == GAUSSIAN and (self.weights, self.sigmas) != ((1.0,), (1.0,)):
+            raise MomentFailure("standard-gaussian carries weights (1,) and sigmas (1,)")
+        if self.kind in (GAUSSIAN, MIXTURE):
             w = np.asarray(self.weights, dtype=float)
             s = np.asarray(self.sigmas, dtype=float)
             if w.size == 0 or w.size != s.size:
@@ -168,8 +190,6 @@ class CalibratedDensity:
     variance: float
     integral_rho: float
     integral_a_rho: float
-    resolution: int
-    quad_abs_tol: float
     # closed-form mixture parameters after standardization (empty otherwise);
     # components sorted by sigma ascending, exponent shifts relative to the
     # widest component (see _a_unchecked)
@@ -186,43 +206,34 @@ class CalibratedDensity:
     # -- pointwise evaluators ------------------------------------------------
 
     def rho(self, h):
-        h = np.asarray(h, dtype=float)
-        if self.kind == GAUSSIAN:
-            return _phi(h)
-        if self.kind == MIXTURE:
-            z = h[..., None] / self.mix_s
-            return (self.mix_w / self.mix_s * _phi(z)).sum(axis=-1)
-        return np.interp(h, self.tab_h, self.tab_rho)
+        if self.kind == TABULATED:
+            return np.interp(h, self.tab_h, self.tab_rho)
+        return _mix_sum(self.mix_w / self.mix_s, h, self.mix_s)
 
     def cdf(self, h):
         h = np.asarray(h, dtype=float)
-        if self.kind == GAUSSIAN:
-            return ndtr(h)
-        if self.kind == MIXTURE:
-            return (self.mix_w * ndtr(h[..., None] / self.mix_s)).sum(axis=-1)
-        return np.interp(h, self.grid, self.cdf_grid)
+        if self.kind == TABULATED:
+            return np.interp(h, self.grid, self.cdf_grid)
+        return (self.mix_w * ndtr(h[..., None] / self.mix_s)).sum(axis=-1)
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
-        if self.kind == GAUSSIAN:
-            return ndtri(p)
+        if self.mix_s.size == 1:
+            # one component has a closed-form inverse (ndtri for the Gaussian)
+            return self.mix_s[0] * ndtri(p)
         x = np.interp(p, self.cdf_grid, self.grid)
-        if self.kind == MIXTURE:
-            # Newton polish on the analytic CDF; three steps reach round-off
-            for _ in range(3):
-                x = x - (self.cdf(x) - p) / np.maximum(self.rho(x), 1e-300)
-            x = np.clip(x, -self.h_max, self.h_max)
-        return x
+        if self.kind == TABULATED:
+            return x
+        # Newton polish on the analytic CDF; three steps reach round-off
+        for _ in range(3):
+            x = x - (self.cdf(x) - p) / np.maximum(self.rho(x), 1e-300)
+        return np.clip(x, -self.h_max, self.h_max)
 
     def tail_moment(self, h):
         """T(h) = integral_h^inf k rho(k) dk."""
-        h = np.asarray(h, dtype=float)
-        if self.kind == GAUSSIAN:
-            return _phi(h)
-        if self.kind == MIXTURE:
-            z = h[..., None] / self.mix_s
-            return (self.mix_w * self.mix_s * _phi(z)).sum(axis=-1)
-        return np.interp(h, self.tab_h, self.tab_T)
+        if self.kind == TABULATED:
+            return np.interp(h, self.tab_h, self.tab_T)
+        return _mix_sum(self.mix_w * self.mix_s, h, self.mix_s)
 
     def a_of_h(self, h):
         """Diffusion coefficient a(h) = T(h)/rho(h) for |h| <= h_max."""
@@ -247,33 +258,29 @@ class CalibratedDensity:
         return self._a_unchecked(h, out, work), n_clamped
 
     def _a_unchecked(self, h, out=None, work=None):
-        if self.kind == MIXTURE:
-            # Factor out the widest component's exponential: its exponent
-            # dominates all others for every h, so each remaining component
-            # contributes exp of a nonpositive shift and the ratio stays
-            # finite at large |h| (limit: sigma_max^2).  This is the SDE hot
-            # path; one exp call per extra component.
-            w, s, cs = self.mix_w, self.mix_s, self.mix_cshift
-            x2, den, e, we = work if work is not None else [np.empty_like(h) for _ in range(4)]
-            np.square(h, out=x2)
-            num = np.empty_like(x2) if out is None else out
-            num.fill(w[-1] * s[-1])
-            den.fill(w[-1] / s[-1])
-            for i in range(len(s) - 1):
-                np.exp(np.multiply(cs[i], x2, out=e), out=e)
-                num += np.multiply(w[i] * s[i], e, out=we)
-                den += np.multiply(w[i] / s[i], e, out=we)
-            return np.divide(num, den, out=out)
-        if self.kind == GAUSSIAN:
-            # T(h) = phi(h) exactly, so a is identically 1.  The closed form
-            # also avoids the 0/0 underflow of phi(h)/phi(h) past |h| ~ 38.
-            a = np.ones_like(h, dtype=float)
-        else:
+        if self.kind == TABULATED:
             a = np.interp(h, self.grid, self.a_grid)
-        if out is None:
-            return a
-        out[...] = a
-        return out
+            if out is None:
+                return a
+            out[...] = a
+            return out
+        # Factor out the widest component's exponential: its exponent
+        # dominates all others for every h, so each remaining component
+        # contributes exp of a nonpositive shift and the ratio stays finite
+        # at large |h| (limit: sigma_max^2; for one component, such as the
+        # Gaussian, a is that constant exactly, with no 0/0 underflow).
+        # This is the SDE hot path; one exp call per extra component.
+        w, s, cs = self.mix_w, self.mix_s, self.mix_cshift
+        x2, den, e, we = work if work is not None else [np.empty_like(h) for _ in range(4)]
+        np.square(h, out=x2)
+        num = np.empty_like(x2) if out is None else out
+        num.fill(w[-1] * s[-1])
+        den.fill(w[-1] / s[-1])
+        for i in range(len(s) - 1):
+            np.exp(np.multiply(cs[i], x2, out=e), out=e)
+            num += np.multiply(w[i] * s[i], e, out=we)
+            den += np.multiply(w[i] / s[i], e, out=we)
+        return np.divide(num, den, out=out)
 
     # -- reconstruction ------------------------------------------------------
 
@@ -327,31 +334,16 @@ class AssumptionReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "a_sup": self.a_sup,
-            "lipschitz_estimate": self.lipschitz_estimate,
-            "mean": self.mean,
-            "variance": self.variance,
-            "integral_a_rho": self.integral_a_rho,
-            "integral_rho": self.integral_rho,
-            "clamp_count": self.clamp_count,
-            "bounded_ok": self.bounded_ok,
-            "lipschitz_ok": self.lipschitz_ok,
-            "moments_ok": self.moments_ok,
-            "integral_ok": self.integral_ok,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
-def verify_assumption(cd: CalibratedDensity, a_bound: float = 100.0,
-                      lipschitz_bound: float = 100.0, moment_tol: float = 1e-8,
-                      integral_tol: float = 1e-8) -> AssumptionReport:
+def verify_assumption(cd: CalibratedDensity) -> AssumptionReport:
     """Report the admissibility diagnostics of a calibrated density."""
-    bounded_ok = bool(cd.a_sup <= a_bound)
-    lipschitz_ok = bool(cd.lipschitz_estimate <= lipschitz_bound)
-    moments_ok = bool(abs(cd.mean) <= moment_tol and abs(cd.variance - 1.0) <= moment_tol)
-    integral_ok = bool(abs(cd.integral_a_rho - 1.0) <= integral_tol
-                       and abs(cd.integral_rho - 1.0) <= integral_tol)
+    bounded_ok = bool(cd.a_sup <= _A_BOUND)
+    lipschitz_ok = bool(cd.lipschitz_estimate <= _LIPSCHITZ_BOUND)
+    moments_ok = bool(abs(cd.mean) <= _MOMENT_TOL and abs(cd.variance - 1.0) <= _MOMENT_TOL)
+    integral_ok = bool(abs(cd.integral_a_rho - 1.0) <= _INTEGRAL_TOL
+                       and abs(cd.integral_rho - 1.0) <= _INTEGRAL_TOL)
     return AssumptionReport(
         a_sup=cd.a_sup, lipschitz_estimate=cd.lipschitz_estimate,
         mean=cd.mean, variance=cd.variance,
@@ -372,7 +364,7 @@ def sample_iid(cd: CalibratedDensity, n: int, gen: np.random.Generator) -> np.nd
 
 # -- calibration -------------------------------------------------------------
 
-def _detect_unbounded_a(grid, a_grid, h_max, window_frac, growth_tol):
+def _detect_unbounded_a(grid, a_grid, h_max):
     """Flag a that keeps growing through the outermost window of the grid.
 
     For admissible densities a flattens toward its bounded limit well before
@@ -380,23 +372,22 @@ def _detect_unbounded_a(grid, a_grid, h_max, window_frac, growth_tol):
     there is the signature of super-linear T/rho, i.e. tails at or heavier
     than exponential.
     """
-    lo = (1.0 - window_frac) * h_max
+    lo = (1.0 - _WINDOW_FRAC) * h_max
     for side in (+1, -1):
         mask = side * grid >= lo
         win = a_grid[mask] if side > 0 else a_grid[mask][::-1]  # order by |h|
         if win.size < 4:
             continue
         ratio = win[-1] / win[0]
-        diffs = np.diff(win)
-        growing = np.mean(diffs > 0) if diffs.size else 0.0
-        if ratio > 1.0 + growth_tol and growing >= 0.9:
+        growing = np.mean(np.diff(win) > 0)
+        if ratio > 1.0 + _GROWTH_TOL and growing >= 0.9:
             raise UnboundedA(
                 f"a grows by factor {ratio:.4g} over the outer window "
                 f"[{lo:.3g}, {h_max:.3g}] on side {side:+d} "
-                f"(threshold {1 + growth_tol:.3g}); tails too heavy")
+                f"(threshold {1 + _GROWTH_TOL:.3g}); tails too heavy")
 
 
-def _auto_h_max(rho_fn: Callable, floor: float = 10.0, cap: float = 40.0) -> float:
+def _auto_h_max(rho_fn: Callable, floor: float, cap: float = 40.0) -> float:
     """Smallest h with rho < 1e-20, at least `floor`."""
     probe = np.linspace(floor, cap, 2048)
     vals = rho_fn(probe)
@@ -406,32 +397,16 @@ def _auto_h_max(rho_fn: Callable, floor: float = 10.0, cap: float = 40.0) -> flo
     return float(probe[below[0]])
 
 
-def calibrate(spec: DensitySpec, resolution: int = 4001, h_max: float | None = None,
-              window_frac: float = 0.2, growth_tol: float = 0.10,
-              check_unbounded: bool = True) -> CalibratedDensity:
+def calibrate(spec: DensitySpec) -> CalibratedDensity:
     """Standardize a density spec and tabulate rho, CDF, T and a.
 
     Raises NonPositiveDensity, MomentFailure, or UnboundedA when the spec
     falls outside the admissible class.
     """
     spec.validate()
-    resolution = int(resolution) | 1     # odd, so the grid contains 0
-    quad_tol = 1e-12
 
-    if spec.kind == GAUSSIAN:
-        hm = float(h_max) if h_max is not None else _auto_h_max(_phi)
-        grid = np.linspace(-hm, hm, resolution)
-        cd = CalibratedDensity(
-            kind=GAUSSIAN, h_max=hm, grid=grid, rho_grid=_phi(grid),
-            a_grid=np.ones(resolution), cdf_grid=ndtr(grid),
-            a_sup=1.0, lipschitz_estimate=0.0,
-            mean=0.0, variance=1.0,
-            integral_rho=float(ndtr(hm) - ndtr(-hm)),
-            integral_a_rho=float(ndtr(hm) - ndtr(-hm)),
-            resolution=resolution, quad_abs_tol=quad_tol)
-        return cd
-
-    if spec.kind == MIXTURE:
+    if spec.kind != TABULATED:
+        # closed-form centered mixture; the Gaussian is its one-component case
         w = np.asarray(spec.weights, dtype=float)
         s = np.asarray(spec.sigmas, dtype=float)
         w = w / w.sum()
@@ -442,35 +417,24 @@ def calibrate(spec: DensitySpec, resolution: int = 4001, h_max: float | None = N
         order = np.argsort(s)
         w, s = w[order], s[order]
         c = -0.5 / np.square(s)
-
-        def rho_fn(h):
-            z = np.asarray(h, dtype=float)[..., None] / s
-            return (w / s * _phi(z)).sum(axis=-1)
-
-        hm = float(h_max) if h_max is not None else _auto_h_max(rho_fn, floor=10.0 * float(s.max()))
-        grid = np.linspace(-hm, hm, resolution)
+        hm = _auto_h_max(lambda h: _mix_sum(w / s, h, s), floor=10.0 * float(s.max()))
+        grid = np.linspace(-hm, hm, _RESOLUTION)
+        mass = ndtr(hm / s) - ndtr(-hm / s)     # per component, on [-hm, hm]
         cd = CalibratedDensity(
-            kind=MIXTURE, h_max=hm, grid=grid, rho_grid=rho_fn(grid),
+            kind=spec.kind, h_max=hm, grid=grid, rho_grid=_mix_sum(w / s, grid, s),
             a_grid=np.empty(0), cdf_grid=np.empty(0),
             a_sup=0.0, lipschitz_estimate=0.0, mean=0.0,
             variance=float((w * s ** 2).sum()),
-            integral_rho=0.0, integral_a_rho=0.0,
-            resolution=resolution, quad_abs_tol=quad_tol,
+            integral_rho=float((w * mass).sum()),
+            # a*rho == T pointwise, and T integrates to s^2 times the mass
+            integral_a_rho=float((w * s ** 2 * mass).sum()),
             mix_w=w, mix_s=s, mix_cshift=c - c[-1])
         cd.cdf_grid = cd.cdf(grid)
         cd.a_grid = cd._a_unchecked(grid)
         cd.a_sup = float(cd.a_grid.max())
         d = np.gradient(cd.a_grid, grid)
         cd.lipschitz_estimate = float(np.abs(d).max())
-        cd.integral_rho = float((w * (ndtr(hm / s) - ndtr(-hm / s))).sum())
-        # a*rho == T pointwise; integrate the closed-form T by quadrature
-        val, err = integrate.quad(lambda x: float(cd.tail_moment(x)), -hm, hm,
-                                  epsabs=quad_tol, epsrel=1e-11, limit=200)
-        if err > 1e-8:
-            raise QuadratureFailure(f"tail-moment integral error estimate {err:.3g}")
-        cd.integral_a_rho = float(val)
-        if check_unbounded:
-            _detect_unbounded_a(grid, cd.a_grid, hm, window_frac, growth_tol)
+        _detect_unbounded_a(grid, cd.a_grid, hm)
         return cd
 
     # tabulated: all moments are computed exactly on the piecewise-linear model
@@ -491,9 +455,8 @@ def calibrate(spec: DensitySpec, resolution: int = 4001, h_max: float | None = N
     v1 = v0 * sd                   # affine change of variables keeps mass 1
 
     hm_limit = float(min(h1[-1], -h1[0]))
-    hm = float(h_max) if h_max is not None else min(hm_limit, _auto_h_max(
+    hm = min(hm_limit, _auto_h_max(
         lambda x: np.interp(x, h1, v1, left=0.0, right=0.0), floor=min(10.0, hm_limit)))
-    hm = min(hm, hm_limit)
 
     # restrict the table to [-hm, hm], inserting exact boundary nodes
     inner = (h1 > -hm) & (h1 < hm)
@@ -519,7 +482,7 @@ def calibrate(spec: DensitySpec, resolution: int = 4001, h_max: float | None = N
     if np.any(T_nodes <= 0):
         raise MomentFailure("tail moment not positive on the working interval")
 
-    grid = np.linspace(-hm, hm, resolution)
+    grid = np.linspace(-hm, hm, _RESOLUTION)
     rho_g = np.interp(grid, th, tv)
     if np.any(rho_g <= 0):
         raise NonPositiveDensity("tabulated density vanishes inside the working interval")
@@ -541,8 +504,6 @@ def calibrate(spec: DensitySpec, resolution: int = 4001, h_max: float | None = N
         lipschitz_estimate=float(np.abs(np.gradient(a_g, grid)).max()),
         mean=float(mu2), variance=float(var2),
         integral_rho=float(m0.sum()), integral_a_rho=float(int_T),
-        resolution=resolution, quad_abs_tol=quad_tol,
         tab_h=th, tab_rho=tv, tab_T=T_nodes)
-    if check_unbounded:
-        _detect_unbounded_a(grid, a_g, hm, window_frac, growth_tol)
+    _detect_unbounded_a(grid, a_g, hm)
     return cd

@@ -72,6 +72,9 @@ COLUMNS = {
 }
 CHAR_MAP_COLUMNS = COLUMNS["characteristics"]
 
+# A sampled pair contracts when its ratio stays within this slack of 1.
+_CONTRACTION_SLACK = 0.05
+
 _PATH_KEYS = {"n_steps", "t_init", "t_switch", "geometric_frac", "n_checkpoints"}
 _DOMAIN_KEYS = {"theta", "kappa", "W", "n_im", "n_re"}
 _EXPERIMENT_KEYS = {"n_values", "trials", "seed", "marginal_times", "char_im",
@@ -135,6 +138,7 @@ class ExperimentConfig:
         if bad:
             raise ConfigError(f"unknown experiments: {sorted(bad)}")
         try:
+            self.schedule()
             probe = self.domain(min(self.n_values))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -252,6 +256,21 @@ def _lsc_trial(cfg, n, trial, path):
     return rows
 
 
+def _sup_of_medians(rows, col):
+    """Median over trials per (N, Im z, Re z) cell, then sup over Re z.
+
+    rows are (n, trial, re_z, im_z, ...) tuples and col picks the
+    statistic.  Returns {(n, im_z): sup} in the order levels first appear.
+    """
+    cells = {}
+    for r in rows:
+        cells.setdefault((r[0], r[3], r[2]), []).append(r[col])
+    med = {}
+    for (n, im, re), v in cells.items():
+        med.setdefault((n, im), {})[re] = float(np.median(v))
+    return {level: max(by_re.values()) for level, by_re in med.items()}
+
+
 def aggregate_lsc(rows, trials):
     """Median over trials per z, sup over Re per Im level, slope fit.
 
@@ -260,21 +279,12 @@ def aggregate_lsc(rows, trials):
     are (n, im_z, sup_err, normalizer), the points the slope is fitted
     through.
     """
-    cells = {}
     raw_per_n = {}
-    for n, _trial, re, im, err, norm in rows:
-        cells.setdefault((n, im, re), []).append(err)
-        raw_per_n.setdefault(n, []).append(err)
-    med = {}
-    for (n, im, re), v in cells.items():
-        med.setdefault((n, im), {})[re] = float(np.median(v))
-    sup_table = []
-    xs, ys = [], []
-    for (n, im), by_re in med.items():
-        sup = max(by_re.values())
-        sup_table.append((n, im, sup, float(1.0 / np.sqrt(n * im))))
-        xs.append(n * im)
-        ys.append(sup)
+    for r in rows:
+        raw_per_n.setdefault(r[0], []).append(r[4])
+    sups = _sup_of_medians(rows, 4)
+    sup_table = [(n, im, sup, float(1.0 / np.sqrt(n * im)))
+                 for (n, im), sup in sups.items()]
     per_n = {}
     for n, errs in raw_per_n.items():
         e = np.asarray(errs)
@@ -284,7 +294,7 @@ def aggregate_lsc(rows, trials):
                     "q95": float(np.quantile(e, 0.95)),
                     "observations": int(e.size),
                     "trials": trials}
-    return sup_table, per_n, fit_scaling(xs, ys)
+    return sup_table, per_n, fit_scaling([n * im for n, im in sups], list(sups.values()))
 
 
 def _lsc_reduce(cfg, _cd, results):
@@ -392,19 +402,10 @@ def aggregate_entrywise(rows):
     trials) of its sup over Re z; a fit without spread is None.
     """
     fits = {}
-    for idx, name in ((4, "diag"), (5, "offdiag"), (6, "schur")):
-        cells = {}
-        for r in rows:
-            cells.setdefault((r[0], r[3], r[2]), []).append(r[idx])
-        level = {}
-        for (n, im, re), v in cells.items():
-            level.setdefault((n, im), {})[re] = float(np.median(v))
-        xs, ys = [], []
-        for (n, im), by_re in level.items():
-            xs.append(n * im)
-            ys.append(max(by_re.values()))
+    for col, name in ((4, "diag"), (5, "offdiag"), (6, "schur")):
+        sups = _sup_of_medians(rows, col)
         try:
-            fits[name] = fit_scaling(xs, ys)
+            fits[name] = fit_scaling([n * im for n, im in sups], list(sups.values()))
         except DegenerateFit:
             fits[name] = None
     return fits
@@ -483,8 +484,7 @@ def _characteristic_trial(cfg, n, trial, path):
     return map_rows, pair_rows, sen_rows
 
 
-def aggregate_characteristic(map_rows, pair_rows, senergy_rows,
-                             contraction_slack: float = 0.05) -> dict:
+def aggregate_characteristic(map_rows, pair_rows, senergy_rows) -> dict:
     """Per-N quantiles for drift, contraction, inversion, self-energy."""
     per_n = {}
     n_set = sorted({r[0] for r in map_rows})
@@ -506,7 +506,7 @@ def aggregate_characteristic(map_rows, pair_rows, senergy_rows,
               "drift_ratio_q95": float(np.quantile(trial_ratio, 0.95)) if trial_ratio else float("nan")}
         pairs = [r[5] for r in pair_rows if r[0] == n]
         pn["contraction_worst"] = float(max(pairs)) if pairs else float("nan")
-        pn["contraction_violations"] = int(sum(p > 1.0 + contraction_slack for p in pairs))
+        pn["contraction_violations"] = int(sum(p > 1.0 + _CONTRACTION_SLACK for p in pairs))
         end = [r[7] for r in senergy_rows if r[0] == n and r[2] == 1.0]
         along = [r[7] for r in senergy_rows if r[0] == n and r[2] != 1.0]
         if end:

@@ -36,6 +36,12 @@ class DivisionHazard(Exception):
     """A pivot entry G_kk fell below tolerance (cannot happen for Im z > 0)."""
 
 
+# Max-norm residual allowed in resolvent(), before conditioning scaling.
+_RESIDUAL_TOL = 1e-9
+# Smallest |G_kk| minor_resolvent divides by.
+_PIVOT_TOL = 1e-13
+
+
 def _tolerance_scale(n: int, z: complex) -> float:
     # identity tolerances degrade with condition number 1/Im z
     return max(1.0, np.finfo(float).eps / (n * z.imag ** 2))
@@ -55,11 +61,12 @@ class ResolventSample:
         return self.G.shape[0]
 
 
-def resolvent(H: np.ndarray, z: complex, tol: float = 1e-9) -> ResolventSample:
+def resolvent(H: np.ndarray, z: complex) -> ResolventSample:
     """Dense solve of (H - z) G = I, residual-checked.
 
     The max-norm residual of the defining equation is computed and
-    verified against tol (scaled by the conditioning of the problem).
+    verified against _RESIDUAL_TOL (scaled by the conditioning of the
+    problem).
     """
     z = complex(z)
     if z.imag <= 0:
@@ -73,7 +80,7 @@ def resolvent(H: np.ndarray, z: complex, tol: float = 1e-9) -> ResolventSample:
     A[idx, idx] -= z
     G = linalg.solve(A, np.eye(n, dtype=complex), assume_a="sym", check_finite=False)
     residual = float(np.max(np.abs(A @ G - np.eye(n))))
-    if residual > tol * _tolerance_scale(n, z):
+    if residual > _RESIDUAL_TOL * _tolerance_scale(n, z):
         raise SolveFailure(
             f"residual {residual:.3e} exceeds tolerance at z = {z:.6g}")
     return ResolventSample(z=z, G=G, trace_mean=complex(np.mean(G.diagonal())),
@@ -161,8 +168,7 @@ class MinorStat:
     trace_gap: float              # |<G^k> - <G>|
 
 
-def minor_resolvent(H: np.ndarray, k: int, z: complex,
-                    pivot_tol: float = 1e-13) -> MinorStat:
+def minor_resolvent(H: np.ndarray, k: int, z: complex) -> MinorStat:
     """Rank-based identity linking G to the resolvent of the k-minor."""
     z = complex(z)
     if z.imag <= 0:
@@ -176,8 +182,8 @@ def minor_resolvent(H: np.ndarray, k: int, z: complex,
     Hk[:, k] = 0.0
     G = EigenResolvent(H).full(z)
     Gk = EigenResolvent(Hk).full(z)
-    if abs(G[k, k]) < pivot_tol:
-        raise DivisionHazard(f"|G_kk| = {abs(G[k, k]):.3e} below {pivot_tol:.1e}")
+    if abs(G[k, k]) < _PIVOT_TOL:
+        raise DivisionHazard(f"|G_kk| = {abs(G[k, k]):.3e} below {_PIVOT_TOL:.1e}")
     pred = Gk.diagonal() + G[k, :] * G[:, k] / G[k, k]
     resid = np.abs(G.diagonal() - pred)
     resid[k] = 0.0

@@ -6,7 +6,9 @@ defining integrals, independently of the closed forms in the package.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
+from scipy.special import ndtr, ndtri
 
 from wigflow import streams
 from wigflow.density import (
@@ -44,6 +46,36 @@ def test_gaussian_a_is_one_on_grid(gaussian):
 def test_gaussian_a_matches_quadrature_oracle(gaussian):
     for h in (0.0, 0.7, 2.0, 3.5):
         assert abs(float(gaussian.a_of_h(h)) - quad_a_oracle(gaussian, h)) < 1e-8
+
+
+def test_gaussian_is_exact_one_component_mixture(gaussian):
+    # the closed forms keep every Gaussian value the same bit for bit
+    u = streams.stream(3, 0).random(10_000)
+    x = sample_iid(gaussian, u.size, streams.stream(3, 0))
+    assert x.tobytes() == ndtri(u).tobytes()
+    h = np.linspace(-1.5 * gaussian.h_max, 1.5 * gaussian.h_max, 1001)
+    vals, _n = gaussian.a_clamped(h)
+    assert np.all(vals == 1.0)
+    assert gaussian.integral_a_rho == ndtr(gaussian.h_max) - ndtr(-gaussian.h_max)
+
+
+_random_mixtures = st.integers(1, 3).flatmap(lambda k: st.tuples(
+    st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k),
+    st.lists(st.floats(0.5, 2.0), min_size=k, max_size=k)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_random_mixtures)
+def test_random_mixtures_admissible_and_round_trip(weights_sigmas):
+    weights, sigmas = weights_sigmas
+    cd = calibrate(DensitySpec.mixture(np.asarray(weights) / sum(weights), sigmas))
+    assert verify_assumption(cd).passed
+    # quadrature oracle for the closed-form integral of a*rho = T
+    oracle, _err = integrate.quad(lambda x: float(cd.tail_moment(x)), -cd.h_max,
+                                  cd.h_max, epsabs=1e-12, epsrel=1e-11, limit=200)
+    assert abs(cd.integral_a_rho - oracle) <= 1e-10
+    h = np.linspace(-6.0, 6.0, 801)
+    assert np.max(np.abs(cd.reconstruct_pdf(h) - cd.rho(h))) <= 1e-5
 
 
 def test_mixture_a_at_zero_closed_form(mixture):
@@ -174,6 +206,9 @@ def test_sampling_matches_cdf_mixture(mixture):
 def test_mixture_weight_validation():
     with pytest.raises(MomentFailure):
         calibrate(DensitySpec(kind="gaussian-mixture", weights=(0.6, 0.6),
+                              sigmas=MIX_SIGMAS))
+    with pytest.raises(MomentFailure):   # a mixture may not carry the Gaussian label
+        calibrate(DensitySpec(kind="standard-gaussian", weights=MIX_WEIGHTS,
                               sigmas=MIX_SIGMAS))
 
 

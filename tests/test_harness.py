@@ -102,6 +102,11 @@ def test_config_validation():
         small_config(n_checkpoints=1)
     with pytest.raises(ConfigError):
         small_config(W=(-1.9, 1.9))   # outside the bulk margin
+    # the time schedule is built once at parse time
+    for bad in ({"t_switch": 1e-4}, {"n_steps": 1, "n_checkpoints": 2},
+                {"geometric_frac": 1.0}, {"t_init": 0.0}):
+        with pytest.raises(ConfigError):
+            small_config(**bad)
 
 
 def test_config_from_sections():
@@ -128,6 +133,15 @@ def test_config_from_sections():
         ExperimentConfig.from_sections({"path": {}})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_sections({"density": {"kind": "unobtainium"}})
+    # keys of another density kind are rejected, not ignored
+    for density in ({"kind": "standard-gaussian", "weights": [0.3, 0.7], "sigmas": [1, 2]},
+                    {"kind": "gaussian-mixture", "weights": [1.0], "sigmas": [1.0],
+                     "grid_h": [0.0]}):
+        with pytest.raises(ConfigError, match="do not belong"):
+            ExperimentConfig.from_sections({"density": density})
+    for density in ("standard-gaussian", []):
+        with pytest.raises(ConfigError, match="expected an object"):
+            ExperimentConfig.from_sections({"density": density})
     # ode_tolerance drove nothing and is no longer a key
     with pytest.raises(ConfigError):
         ExperimentConfig.from_sections({"density": {"kind": "standard-gaussian"},
