@@ -109,7 +109,7 @@ def _resolve_out(doc, args) -> Path:
 
 
 def _fresh_target(out_dir: Path, marker: str, overwrite: bool) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """out_dir / marker, refused if a previous run left it; creates nothing."""
     target = out_dir / marker
     if target.exists() and not overwrite:
         raise CliError(f"{target} exists; pass --overwrite to replace the "
@@ -148,6 +148,7 @@ def cmd_calibrate(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad density section: {exc}")
     report_path = _fresh_target(out_dir, "calibration.json", args.overwrite)
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         cd = calibrate(spec)
     except DensityError as exc:
@@ -200,6 +201,7 @@ def cmd_run(args) -> int:
         print(f"assumption failure: {', '.join(failed)}", file=sys.stderr)
         return EXIT_ASSUMPTION
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     experiments = {}
     worst = 0.0
     for name, report in run_experiments(cfg, selected, cd).items():

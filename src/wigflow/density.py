@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr, ndtri
 
 GAUSSIAN = "standard-gaussian"
@@ -299,6 +298,7 @@ class CalibratedDensity:
 
     def _reconstruction_table(self):
         if self._recon is None:
+            from scipy import integrate   # imported on use: slow to import
             n = 65537
             grid_r = np.linspace(-self.h_max, self.h_max, n)
             mid = n // 2            # grid_r[mid] == 0.0

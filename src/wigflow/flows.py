@@ -26,7 +26,7 @@ import numpy as np
 from scipy import linalg, optimize
 
 from .domains import SpectralDomain
-from .martingale import MatrixPath
+from .martingale import MatrixPath, unpack
 from .resolvent import EigenResolvent, t_op
 
 
@@ -60,10 +60,10 @@ class CharacteristicCurve:
 class PathTraceEvaluator:
     """Resolvent trace field of a matrix path.
 
-    Eigenvalues of H(t) are cached at the ODE grid times (t = 0 plus the
-    path checkpoints) and at interval midpoints, with H interpolated
-    linearly between checkpoints.  Off-table times (reached only by
-    stopping-time bisection) decompose on demand and join the cache.
+    Eigenvalues of H(t) are tabulated at the ODE grid times (t = 0 plus the
+    path checkpoints) and at interval midpoints, with the packed H(t)
+    interpolated linearly between checkpoints.  Off-table times (reached
+    only by stopping-time bisection) decompose on demand and join the cache.
     """
 
     def __init__(self, path: MatrixPath):
@@ -74,13 +74,13 @@ class PathTraceEvaluator:
         self.n = states[0].n
         self.ode_times = np.concatenate([[0.0], [s.t for s in states]])
         self._lam = {0.0: np.zeros(self.n)}
-        prev_H, prev_t = None, 0.0
+        prev_hu, prev_t = None, 0.0
         for s in states:
             mid = prev_t + 0.5 * (s.t - prev_t)
-            Hmid = 0.5 * s.H if prev_H is None else 0.5 * (prev_H + s.H)
-            self._lam[mid] = linalg.eigvalsh(Hmid, check_finite=False)
-            self._lam[s.t] = linalg.eigvalsh(s.H, check_finite=False)
-            prev_H, prev_t = s.H, s.t
+            hmid = 0.5 * s.hu if prev_hu is None else 0.5 * (prev_hu + s.hu)
+            self._lam[mid] = linalg.eigvalsh(unpack(hmid, self.n), check_finite=False)
+            self._lam[s.t] = s.eigenvalues
+            prev_hu, prev_t = s.hu, s.t
         self._keys = np.array(sorted(self._lam))
 
     def _eigenvalues(self, t: float) -> np.ndarray:
@@ -103,12 +103,12 @@ class PathTraceEvaluator:
         j = int(np.searchsorted(cpt, t))
         if j == 0:
             frac = t / cpt[0]
-            H = frac * states[0].H
+            hu = frac * states[0].hu
         else:
             t0, t1 = cpt[j - 1], cpt[j]
             frac = (t - t0) / (t1 - t0)
-            H = (1.0 - frac) * states[j - 1].H + frac * states[j].H
-        lam = linalg.eigvalsh(H, check_finite=False)
+            hu = (1.0 - frac) * states[j - 1].hu + frac * states[j].hu
+        lam = linalg.eigvalsh(unpack(hu, self.n), check_finite=False)
         self._lam[t] = lam
         self._keys = np.array(sorted(self._lam))
         return lam

@@ -34,7 +34,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import linalg, stats
 
 from . import streams
 from .density import CalibratedDensity, DensitySpec, calibrate, sample_iid
@@ -219,6 +218,7 @@ def fit_scaling(xs: Sequence[float], ys: Sequence[float]) -> ScalingFit:
     lx, ly = np.log(x), np.log(y)
     if np.ptp(lx) == 0.0:
         raise DegenerateFit("predictor has zero spread")
+    from scipy import stats   # imported on use: it takes half of the start-up
     res = stats.linregress(lx, ly)
     return ScalingFit(slope=float(res.slope), intercept=float(res.intercept),
                       stderr=float(res.stderr), n_points=int(x.size))
@@ -246,7 +246,7 @@ def domination_quantile(ratios: Sequence[float], q: float, n: int) -> float:
 
 
 def _lsc_trial(cfg, n, trial, path):
-    lam = linalg.eigvalsh(path.states[-1].H, check_finite=False)
+    lam = path.states[-1].eigenvalues
     rows = []
     for z in cfg.domain(n).z_grid(cfg.n_im, cfg.n_re).ravel():
         tm = np.mean(1.0 / (lam - z))
@@ -317,9 +317,8 @@ def nearest_schedule_times(schedule: np.ndarray, targets: Sequence[float]) -> li
     return sorted({float(schedule[np.argmin(np.abs(schedule - t))]) for t in targets})
 
 
-def _marginal_trial(_cfg, n, _trial, path):
-    iu = np.triu_indices(n)
-    return {s.t: s.H[iu] for s in path.states}
+def _marginal_trial(_cfg, _n, _trial, path):
+    return {s.t: s.hu.copy() for s in path.states}
 
 
 def _marginal_reduce(cfg, cd, results):
@@ -329,6 +328,7 @@ def _marginal_reduce(cfg, cd, results):
     sample is drawn from a dedicated stream keyed by (N, time index) and
     matches the pooled sample size.
     """
+    from scipy import stats
     pooled = {}
     for n, _trial, ent in results:
         for t, vec in ent.items():
@@ -361,16 +361,15 @@ class EntrywiseReport:
     max_schur_residual: float
 
 
-def run_entrywise(H1: np.ndarray, dom: SpectralDomain,
+def run_entrywise(er: EigenResolvent, dom: SpectralDomain,
                   n_im: int = 8, n_re: int = 9) -> EntrywiseReport:
-    """Entrywise resolvent statistics of one t = 1 matrix.
+    """Entrywise resolvent statistics of one t = 1 matrix, decomposed as er.
 
     Per z: max_k |G_kk - msc|, max_{j != k} |G_jk|, and the
     self-consistency defect max_k |1/G_kk + z + msc| divided by the
     sqrt((1 + Im msc)/(N Im z)) normalizer.
     """
-    n = H1.shape[0]
-    er = EigenResolvent(H1)
+    n = er.n
     rows = []
     for z in dom.z_grid(n_im, n_re).ravel():
         m = msc(z)
@@ -391,7 +390,7 @@ def run_entrywise(H1: np.ndarray, dom: SpectralDomain,
 
 
 def _entrywise_trial(cfg, n, trial, path):
-    rep = run_entrywise(path.states[-1].H, cfg.domain(n), cfg.n_im, cfg.n_re)
+    rep = run_entrywise(path.states[-1].resolvent, cfg.domain(n), cfg.n_im, cfg.n_re)
     return [(n, trial) + r for r in rep.rows]
 
 
@@ -465,10 +464,10 @@ def _characteristic_trial(cfg, n, trial, path):
 
     # self-energy ratios at the curve endpoints: t = 1 over the z-grid
     final = path.states[-1]
-    er, sigma = EigenResolvent(final.H), final.sigma   # sigma is recomputed per read
+    er, sigma = final.resolvent, final.sigma   # sigma is recomputed per read
     sen_rows = [senergy(1.0, er, sigma, z) for z in dom.z_grid(cfg.n_im, cfg.n_re).ravel()]
-    # and along two curves at thinned interior checkpoints, one
-    # decomposition per checkpoint shared by both; rows stay curve by curve
+    # and along two curves at thinned interior checkpoints, one O(N^2) basis
+    # per checkpoint shared by both, never kept; rows stay curve by curve
     idxs = sorted(set(np.linspace(1, tg.size - 2, cfg.senergy_times).astype(int)))
     along = [(curves[ci], []) for ci in (0, cfg.n_re // 2) if curves[ci] is not None]
     for k in idxs:

@@ -8,9 +8,10 @@ the same dynamics entrywise at scale N^{-1/2},
 
 so that H(1) is a Wigner matrix with entry law rho and entry variance 1/N.
 The instantaneous variance rates sigma_ij = a(sqrt(N/t) H_ij)/N form the
-profile that feeds the self-energy operator.  A state stores H alone (8 MB
-at N = 1000, not 16 MB) and recomputes sigma from it on each access, at
-O(N^2) cost.  One kernel advances matrix paths, single steps and scalar paths.
+profile that feeds the self-energy operator.  A state stores the upper
+triangle of H alone (4 MB at N = 1000) and rebuilds H and sigma from it on
+each access, at O(N^2) cost.  One kernel advances matrix paths, single steps
+and scalar paths.
 
 The SDE is singular at t = 0 (the coefficient argument is 0/0), so paths
 are initialized at a small t_init > 0 by sampling the known marginal
@@ -22,11 +23,15 @@ the singular start.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from math import isqrt
 
 import numpy as np
+from scipy import linalg
 
 from . import streams
 from .density import CalibratedDensity, sample_iid
+from .resolvent import EigenResolvent
 
 
 class InvalidStep(Exception):
@@ -102,22 +107,35 @@ class PathConfig:
 
 @dataclass
 class MatrixState:
-    """H(t) at one time, exactly symmetric: 8 MB at N = 1000, not 16 MB, as
-    sigma is not stored.  `sigma` is recomputed from H on each access, at
-    O(N^2) cost, bit for bit the profile the SDE step used."""
+    """H(t) as its upper triangle hu in np.triu_indices order, 4 MB at N = 1000.
+    H (exactly symmetric) and sigma (the SDE step's profile, bit for bit) are
+    rebuilt per access; `eigenvalues` (eigvalsh) and `resolvent` (eigh) once."""
 
     t: float
-    H: np.ndarray
+    hu: np.ndarray
     density: CalibratedDensity = field(repr=False, compare=False)
     clamp_count: int = 0
 
     @property
     def n(self) -> int:
-        return self.H.shape[0]
+        return (isqrt(8 * self.hu.size + 1) - 1) // 2
+
+    @property
+    def H(self) -> np.ndarray:
+        return unpack(self.hu, self.n)
 
     @property
     def sigma(self) -> np.ndarray:
         return sigma_profile(self.density, self)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return linalg.eigvalsh(self.H, check_finite=False)
+
+    @cached_property
+    def resolvent(self) -> EigenResolvent:
+        # an O(N^2) basis: read it only where two readers share it
+        return EigenResolvent(self.H)
 
 
 @dataclass
@@ -140,10 +158,13 @@ class MatrixPath:
         return MatrixPath(config=config, states=states, total_clamps=self.total_clamps)
 
 
-def _sym_from_upper(vec: np.ndarray, n: int, iu) -> np.ndarray:
-    M = np.zeros((n, n))
-    M[iu] = vec
-    M.T[iu] = vec
+def unpack(hu: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric n x n matrix whose upper triangle is hu, row by row."""
+    M = np.empty((n, n))   # slices: 4x faster than np.triu_indices at N = 1000
+    start = 0
+    for i in range(n):
+        M[i, i:] = M[i:, i] = hu[start:start + n - i]
+        start += n - i
     return M
 
 
@@ -177,23 +198,22 @@ class _Kernel:
         self.hu += np.multiply(su, self.gen.standard_normal(out=self.z), out=su)
         self._evaluate(t_new, out=su)
 
-    def state(self, iu) -> MatrixState:
-        return MatrixState(t=self.t, H=_sym_from_upper(self.hu, self.n, iu),
-                           density=self.cd, clamp_count=self.clamps)
+    def state(self) -> MatrixState:
+        return MatrixState(t=self.t, hu=self.hu.copy(), density=self.cd,
+                           clamp_count=self.clamps)
 
 
 def init_exact(cd: CalibratedDensity, n: int, t_init: float,
                gen: np.random.Generator) -> MatrixState:
     """Sample H(t_init) from its exact marginal."""
-    return _Kernel.exact(cd, n, t_init, gen).state(np.triu_indices(n))
+    return _Kernel.exact(cd, n, t_init, gen).state()
 
 
 def sigma_profile(cd: CalibratedDensity, state: MatrixState) -> np.ndarray:
     """Recompute sigma_ij = a(sqrt(N/t) H_ij)/N from the state."""
     if state.t <= 0:
         raise ValueError("sigma profile needs t > 0")
-    iu = np.triu_indices(state.n)
-    return _sym_from_upper(_Kernel(cd, state.n, state.t, state.H[iu]).su, state.n, iu)
+    return unpack(_Kernel(cd, state.n, state.t, state.hu).su, state.n)
 
 
 def step(cd: CalibratedDensity, state: MatrixState, dt: float,
@@ -204,34 +224,32 @@ def step(cd: CalibratedDensity, state: MatrixState, dt: float,
     t_new = state.t + dt
     if t_new > 1.0 + 1e-12:
         raise InvalidStep(f"step to t = {t_new} overshoots the terminal time 1")
-    iu = np.triu_indices(state.n)
-    kernel = _Kernel(cd, state.n, state.t, state.H[iu], gen)
+    kernel = _Kernel(cd, state.n, state.t, state.hu.copy(), gen)
     kernel.advance(dt, min(t_new, 1.0))
-    return kernel.state(iu)
+    return kernel.state()
 
 
 def evolve(cd: CalibratedDensity, config: PathConfig,
            gen: np.random.Generator | None = None) -> MatrixPath:
     """Integrate the matrix SDE over the configured schedule.
 
-    Only H at config.checkpoints is materialized (sigma is recomputed from
+    Only H at config.checkpoints is kept (sigma is recomputed from
     it when read); checkpoints=np.array([1.0]) keeps the terminal state
     alone.  The random draws do not depend on the checkpoints, so a state
     is the same bit for bit whichever other checkpoints are kept.
     """
     if gen is None:
         gen = streams.path_stream(config.base_seed, config.n, config.trial)
-    iu = np.triu_indices(config.n)
     sched = config.schedule
     is_checkpoint = np.isin(sched, config.checkpoints)
     kernel = _Kernel.exact(cd, config.n, config.t_init, gen)
     total_clamps = kernel.clamps
-    states = [kernel.state(iu)] if is_checkpoint[0] else []
+    states = [kernel.state()] if is_checkpoint[0] else []
     for k in range(len(sched) - 1):
         kernel.advance(sched[k + 1] - sched[k], sched[k + 1])
         total_clamps += kernel.clamps
         if is_checkpoint[k + 1]:
-            states.append(kernel.state(iu))
+            states.append(kernel.state())
     return MatrixPath(config=config, states=states, total_clamps=total_clamps)
 
 

@@ -41,6 +41,8 @@ MIX = DensitySpec.mixture((0.5, 0.5), (np.sqrt(0.5), np.sqrt(1.5)))
 TERMINAL = np.array([1.0])
 POOL = min(2, len(os.sched_getaffinity(0)))   # processes for the mixture ensemble
 
+pytestmark = pytest.mark.acceptance
+
 _MAP_COL = dict(zip(CHAR_MAP_COLUMNS, range(len(CHAR_MAP_COLUMNS))))
 _ENSEMBLE = None   # (cfg, cd, with_senergy), inherited by the forked workers
 
@@ -67,7 +69,7 @@ def _trial_stats(task):
         if with_senergy:
             senergy.append(self_energy_from_diag(sig1, gd, z).ratio)
     if n == 500:
-        rep = run_entrywise(H1, dom, n_im=8, n_re=3)
+        rep = run_entrywise(er, dom, n_im=8, n_re=3)
         entry_rows.extend((n, trial) + r for r in rep.rows)
     return lsc_rows, senergy, entry_rows
 
@@ -115,6 +117,21 @@ def char_report():
                            n_checkpoints=26, n_im=4, n_re=9, char_im=0.5,
                            senergy_times=3)
     return cfg, run_experiments(cfg, ("characteristics",))["characteristics"]
+
+
+def test_fixture_trace_route_matches_lsc(monkeypatch):
+    # _trial_stats reads <G> as the mean of the eigh diagonal, the shipped
+    # lsc experiment as the mean over eigvalsh eigenvalues; criterion 9
+    # speaks for the shipped code only while the two agree
+    cfg = ExperimentConfig(density=MIX, n_values=(125,), trials=1,
+                           base_seed=SEED, n_steps=1000)
+    monkeypatch.setitem(globals(), "_ENSEMBLE", (cfg, calibrate(MIX), False))
+    fixture_rows, _senergy, _entry = _trial_stats((125, 0))
+    shipped = run_experiments(cfg, ("lsc",))["lsc"].rows["lsc"]
+    assert len(shipped) == 8 * 9
+    assert [r[:4] for r in shipped] == [r[:4] for r in fixture_rows]
+    np.testing.assert_allclose([r[4] for r in fixture_rows],
+                               [r[4] for r in shipped], rtol=1e-10, atol=0.0)
 
 
 # --------------------------------------------------------------- 1 to 5

@@ -258,6 +258,8 @@ def test_run_inadmissible_density_exit2(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfgp), "--threads", "1"]) == 2
     err = capsys.readouterr().err
     assert "lipschitz_ok" in err and "bounded_ok" not in err
+    # the assumption is checked before anything is written
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_all_trials_failed_exit3(tmp_path, monkeypatch, capsys):

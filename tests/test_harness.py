@@ -19,7 +19,7 @@ from wigflow.harness import (CHAR_MAP_COLUMNS, ConfigError, DegenerateFit,
                              nearest_schedule_times, run_entrywise,
                              run_experiments, write_report_csv)
 from wigflow.martingale import evolve, geometric_uniform_schedule
-from wigflow.resolvent import self_energy_error
+from wigflow.resolvent import EigenResolvent, self_energy_error
 
 
 def small_config(**kw):
@@ -213,7 +213,7 @@ def test_run_marginal_smoke():
 def test_run_entrywise_diagonal_matrix():
     dom = SpectralDomain(n=64)
     H = np.diag(np.linspace(-1.0, 1.0, 64))
-    rep = run_entrywise(H, dom, n_im=3, n_re=3)
+    rep = run_entrywise(EigenResolvent(H), dom, n_im=3, n_re=3)
     assert rep.max_offdiag == 0.0
     assert len(rep.rows) == 9
     assert rep.max_diag_err > 0.0
@@ -221,7 +221,7 @@ def test_run_entrywise_diagonal_matrix():
 
 def test_run_entrywise_zero_matrix_closed_form():
     dom = SpectralDomain(n=50)
-    rep = run_entrywise(np.zeros((50, 50)), dom, n_im=3, n_re=3)
+    rep = run_entrywise(EigenResolvent(np.zeros((50, 50))), dom, n_im=3, n_re=3)
     worst = 0.0
     for re, im, diag_err, off, schur in rep.rows:
         z = re + 1j * im
@@ -379,3 +379,28 @@ def test_pool_warns_without_threadpoolctl(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("threadpoolctl is not installed") == 1
     assert rep.rows == run_one(replace(cfg, threads=1), "lsc").rows
+
+
+def test_one_spectrum_per_terminal_state(monkeypatch):
+    # lsc and the trace tables share one eigvalsh of each t = 1 state, and
+    # entrywise and the characteristics endpoint share one eigh
+    from scipy import linalg
+    calls = {"eigvalsh": [], "eigh": []}
+    for name, seen in calls.items():
+        def counted(a, *args, _real=getattr(linalg, name), _seen=seen, **kwargs):
+            _seen.append(np.array(a, copy=True))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(linalg, name, counted)
+    cfg = small_config(density=DensitySpec.mixture((0.5, 0.5), (0.5, 1.2)),
+                       n_values=(48, 64), trials=2, n_steps=60, n_checkpoints=11,
+                       n_re=3, n_im=3, senergy_times=3)
+    reps = run_experiments(cfg, harness.EXPERIMENT_NAMES)
+    assert all(not rep.failures for rep in reps.values())
+    assert all(calls.values())
+    cd = calibrate(cfg.density)
+    for n in cfg.n_values:
+        for trial in range(cfg.trials):
+            final = evolve(cd, cfg.path_config(n, trial, checkpoints=np.array([1.0])))
+            H1 = final.states[-1].H
+            for name, seen in calls.items():
+                assert sum(np.array_equal(a, H1) for a in seen) == 1, (name, n, trial)

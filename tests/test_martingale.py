@@ -114,13 +114,16 @@ def test_evolve_reaches_one_with_checkpoints(mixture):
     assert isinstance(path, MatrixPath)
     assert path.states[-1].t == 1.0
     assert np.array_equal(path.times, cfg.checkpoints)
+    iu = np.triu_indices(cfg.n)
     for st in path.states:
         assert np.array_equal(st.H, st.H.T)
+        assert st.H[iu].tobytes() == st.hu.tobytes()
         assert np.all(st.sigma > 0)
         assert np.all(st.sigma <= mixture.a_sup / cfg.n + 1e-15)
-        # a state holds H alone; sigma is recomputed from it
+        # a state holds the packed upper triangle alone; H and sigma are
+        # rebuilt from it
         arrays = [v for v in vars(st).values() if isinstance(v, np.ndarray)]
-        assert sum(a.nbytes for a in arrays) == cfg.n ** 2 * 8
+        assert sum(a.nbytes for a in arrays) == cfg.n * (cfg.n + 1) // 2 * 8
 
 
 def test_step_replays_evolve(mixture):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wigflow.resolvent import (
     DimensionMismatch, EigenResolvent, MinorStat, ResolventSample,
@@ -69,6 +70,29 @@ def test_eigen_path_matches_solve():
         assert abs(er.trace_mean(z) - s.trace_mean) < 1e-11
         assert np.max(np.abs(er.diag(z) - s.G.diagonal())) < 1e-10
         assert np.max(np.abs(er.full(z) - s.G)) < 1e-10
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(n=st.integers(4, 40), seed=st.integers(0, 2 ** 32 - 1),
+       re=st.floats(-3.0, 3.0), log_im=st.floats(-3.0, 0.5))
+def test_eigen_resolvent_algebra_random(n, seed, re, log_im):
+    # errors are relative to max |G| <= 1/Im z and grow with the
+    # conditioning 1/Im z; measured worst cases sit near 3e-13 / Im z
+    z = complex(re, 10.0 ** log_im)
+    tol = 1e-11 / z.imag
+    H = wigner(n, seed)
+    oracle = resolvent(H, z)
+    scale = float(np.max(np.abs(oracle.G)))
+    er = EigenResolvent(H)
+    G = er.full(z)
+    assert np.max(np.abs(G - oracle.G)) <= tol * scale
+    assert np.max(np.abs(er.diag(z) - oracle.G.diagonal())) <= tol * scale
+    assert abs(er.trace_mean(z) - oracle.trace_mean) <= tol * scale
+    assert ward_check(oracle) <= tol
+    assert ward_check(ResolventSample(z=z, G=G, trace_mean=er.trace_mean(z))) <= tol
+    ms = minor_resolvent(H, seed % n, z)
+    assert ms.identity_residual <= tol * float(np.max(np.abs(oracle.G.diagonal())))
+    assert ms.minor.G[seed % n, seed % n] == pytest.approx(-1.0 / z, rel=tol)
 
 
 def test_s_op_flat_profile_collapses_to_trace():
