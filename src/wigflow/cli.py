@@ -21,13 +21,16 @@ from pathlib import Path
 from typing import Mapping
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .density import DensityError, DensitySpec, calibrate, verify_assumption
 from .domains import SpectralDomain, frozen_semicircle_drift, msc
 from .flows import contraction_check, flow_gamma, flow_lambda
 from .harness import (EXPERIMENT_NAMES, ConfigError, ExperimentConfig,
-                      failure_fraction, run_experiments, write_report_csv)
+                      failure_fraction, run_experiments, spectral_lanes,
+                      write_report_csv)
+from .resolvent import BLAS_PIN, blas_threads
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -70,7 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=sorted(EXPERIMENT_NAMES) + ["all"],
                      help="override the config's experiment list")
     run.add_argument("--threads", type=int, default=None,
-                     help="worker pool size (default: available cores)")
+                     help="worker processes for trials (default: available "
+                     "cores); each gets cores / threads spectral lanes, and "
+                     "BLAS always runs at one thread")
     run.add_argument("--seed", type=int, default=None,
                      help="override the config's base seed")
 
@@ -231,6 +236,12 @@ def cmd_run(args) -> int:
         "finished": _now(),
         "experiments": experiments,
         "exit_code": exit_code,
+        # what the numbers depend on besides the config; never in the outputs
+        "environment": {
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "blas_threads": blas_threads(), "blas_pin": BLAS_PIN,
+            "spectral_lanes": spectral_lanes(cfg.processes),
+            "cpu_count": os.cpu_count(), "affinity": len(os.sched_getaffinity(0))},
     }
     # every listed artifact exists before the manifest itself appears
     _write_json(out_dir / "manifest.json", manifest)

@@ -15,18 +15,19 @@ fixed-step RK4 driver.
 Fields come in two flavors: the deterministic frozen-semicircle stand-in
 (closed-form checks) and PathTraceEvaluator, which couples the flow to a
 matrix path through cached eigenvalue tables at the checkpoint times and
-the midpoints the integrator visits.
+the midpoints the integrator visits.  The tables are independent
+decompositions and run on concurrent lanes.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, optimize
 
 from .domains import SpectralDomain
-from .martingale import MatrixPath, unpack
+from .martingale import MatrixPath, _unpack
 from .resolvent import EigenResolvent, t_op
 
 
@@ -62,25 +63,42 @@ class PathTraceEvaluator:
 
     Eigenvalues of H(t) are tabulated at the ODE grid times (t = 0 plus the
     path checkpoints) and at interval midpoints, with the packed H(t)
-    interpolated linearly between checkpoints.  Off-table times (reached
+    interpolated linearly between checkpoints.  The tables are computed on
+    `lanes` concurrent lanes, the calling thread one of them, and stored by
+    time, so the lane count changes no value.  Off-table times (reached
     only by stopping-time bisection) decompose on demand and join the cache.
     """
 
-    def __init__(self, path: MatrixPath):
+    def __init__(self, path: MatrixPath, lanes: int = 1):
         self._path = path
         states = path.states
         if len(states) < 2:
             raise ValueError("path must retain at least two checkpoints")
         self.n = states[0].n
         self.ode_times = np.concatenate([[0.0], [s.t for s in states]])
-        self._lam = {0.0: np.zeros(self.n)}
-        prev_hu, prev_t = None, 0.0
+        # (time, hu, other, scale): the matrix of scale * (hu + other)
+        jobs, prev_hu, prev_t = [], None, 0.0
         for s in states:
-            mid = prev_t + 0.5 * (s.t - prev_t)
-            hmid = 0.5 * s.hu if prev_hu is None else 0.5 * (prev_hu + s.hu)
-            self._lam[mid] = linalg.eigvalsh(unpack(hmid, self.n), check_finite=False)
-            self._lam[s.t] = s.eigenvalues
+            jobs.append((prev_t + 0.5 * (s.t - prev_t), s.hu, prev_hu, 0.5))
+            if "eigenvalues" not in vars(s):
+                jobs.append((s.t, s.hu, None, 1.0))
             prev_hu, prev_t = s.hu, s.t
+        self._lam = {0.0: np.zeros(self.n)}
+
+        def lane(part):   # runs concurrently: numpy and private helpers only
+            buf = np.empty((self.n, self.n))
+            for t, hu, other, scale in part:
+                self._lam[t] = np.linalg.eigvalsh(_unpack(hu, self.n, buf, other, scale))
+
+        with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:
+            helpers = [pool.submit(lane, jobs[i::lanes]) for i in range(1, lanes)]
+            lane(jobs[::lanes])
+            for h in helpers:
+                h.result()
+        # fill the states' caches here: reading s.eigenvalues from the lanes would
+        # serialize them (cached_property locks the whole class on Python 3.11)
+        for s in states:
+            self._lam[s.t] = vars(s).setdefault("eigenvalues", self._lam.get(s.t))
         self._keys = np.array(sorted(self._lam))
 
     def _eigenvalues(self, t: float) -> np.ndarray:
@@ -108,7 +126,7 @@ class PathTraceEvaluator:
             t0, t1 = cpt[j - 1], cpt[j]
             frac = (t - t0) / (t1 - t0)
             hu = (1.0 - frac) * states[j - 1].hu + frac * states[j].hu
-        lam = linalg.eigvalsh(unpack(hu, self.n), check_finite=False)
+        lam = np.linalg.eigvalsh(_unpack(hu, self.n))
         self._lam[t] = lam
         self._keys = np.array(sorted(self._lam))
         return lam
@@ -170,6 +188,7 @@ def _integrate(drift_field, x0: complex, dom: SpectralDomain,
         def gap(s):
             return _rk4(f, t, xi[k], s * dt).imag - stop_level
 
+        from scipy import optimize   # imported on use: the only root find
         s_stop = optimize.brentq(gap, 0.0, 1.0, xtol=1e-14, rtol=1e-15)
         y = _rk4(f, t, xi[k], s_stop * dt) if s_stop > 0.0 else xi[k]
         tau = float(t + s_stop * dt)

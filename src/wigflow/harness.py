@@ -20,16 +20,16 @@ surviving results of each experiment are reduced into one Report.
 
 Trials are independent work units; a fork-based pool may execute them,
 but results are reduced in task-submission order, so reports are byte
-identical at any pool size.  CSV rows hold Python floats serialized with
-repr (shortest round-trip form), which makes the files reproducible at
-the byte level.
+identical at any pool size.  Each trial process builds its trace tables on
+cores / processes spectral lanes (threads), and BLAS runs at one thread.
+CSV rows hold Python floats serialized with repr (shortest round-trip
+form), which makes the files reproducible at the byte level.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import sys
 from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -179,6 +179,11 @@ class ExperimentConfig:
         return geometric_uniform_schedule(
             t_init=self.t_init, n_steps=self.n_steps,
             t_switch=self.t_switch, geometric_frac=self.geometric_frac)
+
+    @property
+    def processes(self) -> int:
+        """Trial processes a run uses: threads, at most one per trial."""
+        return min(self.threads, len(self.n_values) * self.trials)
 
     def path_config(self, n: int, trial: int, checkpoints: np.ndarray) -> PathConfig:
         return PathConfig(n=n, base_seed=self.base_seed, trial=trial, t_init=self.t_init,
@@ -429,7 +434,7 @@ def _characteristic_trial(cfg, n, trial, path):
     checkpoints.
     """
     dom = cfg.domain(n)
-    ev = PathTraceEvaluator(path)
+    ev = PathTraceEvaluator(path, lanes=_LANES)
     tg = ev.ode_times
     z_row = np.linspace(cfg.W[0], cfg.W[1], cfg.n_re) + 1j * cfg.char_im
 
@@ -457,15 +462,16 @@ def _characteristic_trial(cfg, n, trial, path):
                               float(z_row[i + 1].real), float(cfg.char_im),
                               float(ratio)))
 
-    def senergy(t, er, sigma, z):
-        st = self_energy_from_diag(sigma, er.diag(z), z)
+    def senergy(t, er, dev, z):
+        st = self_energy_from_diag(dev, er.diag(z), z, centered=True)
         return (n, trial, t, float(z.real), float(z.imag),
                 st.error, st.normalizer, st.ratio)
 
     # self-energy ratios at the curve endpoints: t = 1 over the z-grid
     final = path.states[-1]
-    er, sigma = final.resolvent, final.sigma   # sigma is recomputed per read
-    sen_rows = [senergy(1.0, er, sigma, z) for z in dom.z_grid(cfg.n_im, cfg.n_re).ravel()]
+    er, dev = final.resolvent, final.sigma   # sigma is recomputed per read:
+    dev -= 1.0 / n                            # center it in place, once per state
+    sen_rows = [senergy(1.0, er, dev, z) for z in dom.z_grid(cfg.n_im, cfg.n_re).ravel()]
     # and along two curves at thinned interior checkpoints, one O(N^2) basis
     # per checkpoint shared by both, never kept; rows stay curve by curve
     idxs = sorted(set(np.linspace(1, tg.size - 2, cfg.senergy_times).astype(int)))
@@ -475,9 +481,10 @@ def _characteristic_trial(cfg, n, trial, path):
         if not live:
             break
         state = path.states[k - 1]
-        er, sigma = EigenResolvent(state.H), state.sigma
+        er, dev = EigenResolvent(state.H), state.sigma
+        dev -= 1.0 / n
         for fc, rows in live:
-            rows.append(senergy(float(tg[k]), er, sigma, complex(fc.xi[k])))
+            rows.append(senergy(float(tg[k]), er, dev, complex(fc.xi[k])))
     for _fc, rows in along:
         sen_rows.extend(rows)
     return map_rows, pair_rows, sen_rows
@@ -605,38 +612,34 @@ class Report:
         }
 
 
-_STATE = None          # (cd, cfg, plan, checkpoints) for the current trial map
-_THREAD_LIMIT = None   # keep the limiter alive for the worker lifetime
+_STATE = None   # (cd, cfg, plan, checkpoints) for the current trial map
+_LANES = 1      # spectral lanes of each trial in this process
 
 
-def _worker_init(state):
-    global _STATE, _THREAD_LIMIT
-    _STATE = state
-    if _THREAD_LIMIT is None:
-        try:
-            from threadpoolctl import threadpool_limits
-            _THREAD_LIMIT = threadpool_limits(limits=1)
-        except ImportError:
-            _THREAD_LIMIT = False
+def spectral_lanes(processes: int) -> int:
+    """Spectral lanes per trial process: the cores this process may run on,
+    divided by the number of trial processes, at least 1."""
+    return max(1, len(os.sched_getaffinity(0)) // processes)
 
 
-def _map_trials(worker, state, threads, tasks):
-    """Run (n, trial) tasks, results in task order at any pool size."""
-    global _STATE
-    if threads <= 1 or len(tasks) <= 1:
-        _STATE = state
+def _worker_init(state, lanes):
+    global _STATE, _LANES
+    _STATE, _LANES = state, lanes
+
+
+def _map_trials(worker, state, processes, tasks):
+    """Run (n, trial) tasks, results in task order at any pool size.  Forked
+    workers inherit the one-thread BLAS pin that importing resolvent set."""
+    lanes = spectral_lanes(processes)
+    if processes <= 1:
+        _worker_init(state, lanes)
         try:
             return [worker(t) for t in tasks]
         finally:
-            _STATE = None
-    try:
-        import threadpoolctl  # noqa: F401  (the workers limit BLAS with it)
-    except ImportError:
-        print("wigflow: threadpoolctl is not installed; pool workers run BLAS "
-              "at its default thread count", file=sys.stderr)
+            _worker_init(None, 1)
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=min(threads, len(tasks)),
-                  initializer=_worker_init, initargs=(state,)) as pool:
+    with ctx.Pool(processes=processes, initializer=_worker_init,
+                  initargs=(state, lanes)) as pool:
         return list(pool.imap(worker, tasks, chunksize=1))
 
 
@@ -675,7 +678,7 @@ def run_experiments(config: ExperimentConfig, names: Sequence[str],
     checkpoints = np.unique(np.concatenate([times for _exp, times in plan]))
     tasks = [(n, t) for n in config.n_values for t in range(config.trials)]
     results = _map_trials(_trial, (cd, config, plan, checkpoints),
-                          config.threads, tasks)
+                          config.processes, tasks)
     reports = {}
     for i, (name, (exp, _times)) in enumerate(zip(names, plan)):
         done, failures = [], []

@@ -11,7 +11,7 @@ The instantaneous variance rates sigma_ij = a(sqrt(N/t) H_ij)/N form the
 profile that feeds the self-energy operator.  A state stores the upper
 triangle of H alone (4 MB at N = 1000) and rebuilds H and sigma from it on
 each access, at O(N^2) cost.  One kernel advances matrix paths, single steps
-and scalar paths.
+and scalar paths, in cache-sized blocks of entries.
 
 The SDE is singular at t = 0 (the coefficient argument is 0/0), so paths
 are initialized at a small t_init > 0 by sampling the known marginal
@@ -27,7 +27,6 @@ from functools import cached_property
 from math import isqrt
 
 import numpy as np
-from scipy import linalg
 
 from . import streams
 from .density import CalibratedDensity, sample_iid
@@ -122,7 +121,7 @@ class MatrixState:
 
     @property
     def H(self) -> np.ndarray:
-        return unpack(self.hu, self.n)
+        return _unpack(self.hu, self.n)
 
     @property
     def sigma(self) -> np.ndarray:
@@ -130,7 +129,7 @@ class MatrixState:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        return linalg.eigvalsh(self.H, check_finite=False)
+        return np.linalg.eigvalsh(self.H)
 
     @cached_property
     def resolvent(self) -> EigenResolvent:
@@ -158,25 +157,39 @@ class MatrixPath:
         return MatrixPath(config=config, states=states, total_clamps=self.total_clamps)
 
 
-def unpack(hu: np.ndarray, n: int) -> np.ndarray:
-    """The symmetric n x n matrix whose upper triangle is hu, row by row."""
-    M = np.empty((n, n))   # slices: 4x faster than np.triu_indices at N = 1000
-    start = 0
+def _unpack(hu, n, out=None, other=None, scale=1.0):
+    """The symmetric n x n matrix whose upper triangle is scale * (hu + other),
+    row by row, written into out if given; other is optional."""
+    M = np.empty((n, n)) if out is None else out
+    start = 0   # slices: 4x faster than np.triu_indices at N = 1000
     for i in range(n):
-        M[i, i:] = M[i:, i] = hu[start:start + n - i]
-        start += n - i
+        row, end = M[i, i:], start + n - i
+        if other is None:
+            row[...] = hu[start:end]
+        else:
+            np.add(other[start:end], hu[start:end], out=row)
+        row *= scale
+        M[i:, i], start = row, end
     return M
+
+
+# Entries per kernel block: the step's scratch (z and the four coefficient
+# work rows, 1.3 MB) stays in cache, whatever N is.
+_BLOCK = 32768
 
 
 class _Kernel:
     """The entry SDE, advanced in place: the one copy of its update.  hu holds
     independent entries at scale n^{-1/2} (the upper triangle of H, or n_paths
-    scalar paths at n = 1) at time t, su = a(sqrt(n/t) hu)/n their coefficient."""
+    scalar paths at n = 1) at time t, su = a(sqrt(n/t) hu)/n their coefficient.
+    advance runs block by block; Philox normals drawn per block are the same
+    bits as one draw of the whole vector."""
 
     def __init__(self, cd: CalibratedDensity, n: int, t: float, hu: np.ndarray, gen=None):
         self.cd, self.n, self.hu, self.gen = cd, n, hu, gen
-        self.z, self.work = np.empty_like(hu), np.empty((4, hu.size))  # reused by every step
-        self._evaluate(t)
+        b = min(hu.size, _BLOCK)   # scratch of one block, reused by every step
+        self.z, self.work, self.su = np.empty(b), np.empty((4, b)), np.empty_like(hu)
+        self.advance(None, t)
 
     @classmethod
     def exact(cls, cd, n, t, gen, size=None) -> "_Kernel":
@@ -184,19 +197,19 @@ class _Kernel:
         x = sample_iid(cd, n * (n + 1) // 2 if size is None else size, gen)
         return cls(cd, n, t, np.sqrt(t / n) * x, gen)
 
-    def _evaluate(self, t: float, out=None) -> None:
-        """su <- a(sqrt(n/t) hu)/n, counting the entries a clamped."""
-        self.t = float(t)
-        x = np.multiply(self.hu, np.sqrt(self.n / t), out=out)
-        self.su, self.clamps = self.cd.a_clamped(x, out=x, work=self.work)
-        self.su /= self.n
-
-    def advance(self, dt: float, t_new: float) -> None:
-        """Euler-Maruyama: su <- sqrt(su dt), hu += su z, then su at t_new."""
-        su = self.su
-        np.sqrt(np.multiply(su, dt, out=su), out=su)
-        self.hu += np.multiply(su, self.gen.standard_normal(out=self.z), out=su)
-        self._evaluate(t_new, out=su)
+    def advance(self, dt: float | None, t_new: float) -> None:
+        """Euler-Maruyama, su <- sqrt(su dt) and hu += su z (no step when dt is
+        None), then su <- a(sqrt(n/t_new) hu)/n, counting the entries a clamped."""
+        self.t, self.clamps = float(t_new), 0
+        scale = np.sqrt(self.n / t_new)
+        for lo in range(0, self.hu.size, _BLOCK):
+            hu, su = self.hu[lo:lo + _BLOCK], self.su[lo:lo + _BLOCK]
+            if dt is not None:
+                np.sqrt(np.multiply(su, dt, out=su), out=su)
+                hu += np.multiply(su, self.gen.standard_normal(out=self.z[:su.size]), out=su)
+            x = np.multiply(hu, scale, out=su)
+            self.clamps += self.cd.a_clamped(x, out=x, work=self.work[:, :su.size])[1]
+            su /= self.n
 
     def state(self) -> MatrixState:
         return MatrixState(t=self.t, hu=self.hu.copy(), density=self.cd,
@@ -213,7 +226,7 @@ def sigma_profile(cd: CalibratedDensity, state: MatrixState) -> np.ndarray:
     """Recompute sigma_ij = a(sqrt(N/t) H_ij)/N from the state."""
     if state.t <= 0:
         raise ValueError("sigma profile needs t > 0")
-    return unpack(_Kernel(cd, state.n, state.t, state.hu).su, state.n)
+    return _unpack(_Kernel(cd, state.n, state.t, state.hu).su, state.n)
 
 
 def step(cd: CalibratedDensity, state: MatrixState, dt: float,

@@ -9,19 +9,23 @@ on matrices through two operators:
 The central measurable quantity is how close S[sigma, G] comes to the
 scalar <G> I: for the flat profile sigma = 1/N it coincides exactly, and
 for admissible profiles the gap concentrates at the (N Im z)^{-1/2} scale.
-Everything here is a pure function of its inputs.
 
-The package reads G through EigenResolvent, one eigendecomposition per
-matrix state; the residual-checked dense solve resolvent() is the oracle
-the tests hold it to.
+The package reads G through EigenResolvent, one numpy eigendecomposition
+(GIL released) per matrix state; the residual-checked dense solve
+resolvent() is the oracle the tests hold it to.  Importing this module pins
+BLAS to one thread (pin_blas), so no output byte depends on the host's
+cores or BLAS environment; forked workers inherit the pin.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
+import scipy
 
 
 class SolveFailure(Exception):
@@ -40,6 +44,54 @@ class DivisionHazard(Exception):
 _RESIDUAL_TOL = 1e-9
 # Smallest |G_kk| minor_resolvent divides by.
 _PIVOT_TOL = 1e-13
+
+
+# the OpenBLAS copies the numpy and scipy wheels bundle, with the names of
+# their thread-count symbols (numpy's copy is the ILP64 build)
+_OPENBLAS = ((np, "libscipy_openblas64_*.so", "scipy_openblas_{}_num_threads64_"),
+             (scipy, "libscipy_openblas-*.so", "scipy_openblas_{}_num_threads"))
+
+
+def _openblas_libraries() -> list:
+    """(file name, library, symbol name) of each bundled OpenBLAS, loaded here
+    if its package has not yet, so that no later import finds it unpinned."""
+    return [(os.path.basename(path), ctypes.CDLL(path), symbol)
+            for module, pattern, symbol in _OPENBLAS
+            for path in glob.glob(os.path.join(os.path.dirname(module.__file__) + ".libs",
+                                               pattern))]
+
+
+def blas_threads() -> dict:
+    """{BLAS library: the thread count read back from it}; threadpoolctl also
+    reads libraries other than the bundled OpenBLAS copies."""
+    if BLAS_PIN == "threadpoolctl":
+        from threadpoolctl import threadpool_info
+        return {os.path.basename(i["filepath"]): i["num_threads"]
+                for i in threadpool_info() if i["user_api"] == "blas"}
+    return {name: getattr(lib, sym.format("get"))() for name, lib, sym in _openblas_libraries()}
+
+
+def pin_blas() -> str:
+    """Pin BLAS to one thread with threadpoolctl, else through ctypes; read
+    every library back, raise if one is not at 1, return the mechanism."""
+    global BLAS_PIN
+    libs = _openblas_libraries()
+    try:
+        from threadpoolctl import threadpool_limits
+        threadpool_limits(limits=1)
+        BLAS_PIN = "threadpoolctl"
+    except ImportError:
+        BLAS_PIN = "ctypes"
+        for _name, lib, sym in libs:
+            getattr(lib, sym.format("set"))(1)
+    threads = blas_threads()
+    if not threads or set(threads.values()) != {1}:
+        raise RuntimeError(f"BLAS not pinned to one thread by {BLAS_PIN}: {threads}")
+    return BLAS_PIN
+
+
+BLAS_PIN = None   # the mechanism pin_blas used
+pin_blas()
 
 
 def _tolerance_scale(n: int, z: complex) -> float:
@@ -78,6 +130,7 @@ def resolvent(H: np.ndarray, z: complex) -> ResolventSample:
     A = H.astype(complex, copy=True)
     idx = np.arange(n)
     A[idx, idx] -= z
+    from scipy import linalg   # imported on use: the oracle is the only caller
     G = linalg.solve(A, np.eye(n, dtype=complex), assume_a="sym", check_finite=False)
     residual = float(np.max(np.abs(A @ G - np.eye(n))))
     if residual > _RESIDUAL_TOL * _tolerance_scale(n, z):
@@ -100,7 +153,7 @@ class EigenResolvent:
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise DimensionMismatch(f"H must be square, got {H.shape}")
         self.n = H.shape[0]
-        self.eigenvalues, self._V = linalg.eigh(H, check_finite=False)
+        self.eigenvalues, self._V = np.linalg.eigh(H)
         self._V2 = self._V * self._V
 
     def trace_mean(self, z: complex) -> complex:
@@ -138,18 +191,19 @@ class SelfEnergyStat:
     ratio: float
 
 
-def self_energy_from_diag(sigma: np.ndarray, gd: np.ndarray,
-                          z: complex) -> SelfEnergyStat:
+def self_energy_from_diag(sigma: np.ndarray, gd: np.ndarray, z: complex,
+                          centered: bool = False) -> SelfEnergyStat:
     """Self-energy gap from a resolvent diagonal alone.
 
     Computed in centered form, (sigma - 1/N) @ diag(G), which is the same
     quantity in exact arithmetic and is identically zero for the flat
-    profile sigma = 1/N (no cancellation error).
+    profile sigma = 1/N (no cancellation error).  centered=True says sigma
+    already holds sigma - 1/N, for callers that read many z per profile.
     """
     n = gd.size
     if sigma.shape != (n, n):
         raise DimensionMismatch(f"sigma shape {sigma.shape}, diagonal size {n}")
-    dev = (sigma - 1.0 / n) @ gd
+    dev = (sigma if centered else sigma - 1.0 / n) @ gd
     error = float(np.max(np.abs(dev)))
     tm = complex(np.mean(gd))
     normalizer = float(np.sqrt((1.0 + tm.imag) / (n * complex(z).imag)))

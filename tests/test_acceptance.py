@@ -6,22 +6,25 @@ paths and one of gaussian paths at N in {125, 250, 500, 1000}, reused by
 the scaling criteria (8, 9, 10), plus one 50-trial characteristics report
 reused by criteria 6 and 7.  Ensemble realizations are identical to what
 the harness would draw for the same config because path streams depend
-only on (seed, N, trial); for the same reason the mixture ensemble,
-whose time goes to the entry SDE, spreads its (N, trial) tasks over POOL
-forked processes without changing a statistic.  The gaussian ensemble and
-the characteristics report stay serial: their time goes to dense linear
-algebra, which already runs on every core.
+only on (seed, N, trial); for the same reason every ensemble spreads its
+(N, trial) tasks over POOL forked processes without changing a statistic.
+BLAS runs at one thread, so processes are what use the cores.
 """
 
 import filecmp
+import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wigflow import harness
 from wigflow.cli import stub_checks
 from wigflow.density import DensitySpec, calibrate
 from wigflow.domains import msc
@@ -30,9 +33,9 @@ from wigflow.harness import (CHAR_MAP_COLUMNS, EXPERIMENT_NAMES,
                              aggregate_lsc, domination_quantile,
                              run_entrywise, run_experiments, write_report_csv)
 from wigflow.martingale import PathConfig, evolve, geometric_uniform_schedule
-from wigflow.resolvent import (EigenResolvent, minor_resolvent, resolvent,
-                               self_energy_error, self_energy_from_diag,
-                               ward_check)
+from wigflow.resolvent import (EigenResolvent, blas_threads, minor_resolvent,
+                               resolvent, self_energy_error,
+                               self_energy_from_diag, ward_check)
 
 SEED = 2026
 N_VALUES = (125, 250, 500, 1000)
@@ -107,7 +110,7 @@ def mixture_stats():
 def gaussian_stats():
     # for constant diffusion the scheme is exact in law at any step count
     return _ensemble_stats(DensitySpec.gaussian(), n_steps=50,
-                           with_senergy=False)
+                           with_senergy=False, processes=POOL)
 
 
 @pytest.fixture(scope="session")
@@ -115,7 +118,7 @@ def char_report():
     cfg = ExperimentConfig(density=DensitySpec.gaussian(), n_values=(500,),
                            trials=50, base_seed=SEED, n_steps=200,
                            n_checkpoints=26, n_im=4, n_re=9, char_im=0.5,
-                           senergy_times=3)
+                           senergy_times=3, threads=POOL)
     return cfg, run_experiments(cfg, ("characteristics",))["characteristics"]
 
 
@@ -307,3 +310,52 @@ def test_criterion_11_pool_size_determinism(tmp_path):
         assert sorted(p.name for p in other.iterdir()) == names
         for f in names:
             assert filecmp.cmp(dirs[0] / f, other / f, shallow=False), f
+
+
+# runs `wigflow run` in a fresh interpreter; argv[1] == "one-cpu" first
+# restricts the process to one CPU, which leaves it one spectral lane
+_CLI = ("import os, sys\n"
+        "if sys.argv[1] == 'one-cpu':\n"
+        "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from wigflow.cli import main\n"
+        "sys.exit(main(sys.argv[2:]))\n")
+
+
+def _blas_threads_in_worker(_task):
+    return blas_threads()
+
+
+def test_criterion_11_blas_and_lane_determinism(tmp_path):
+    # the pin holds here and in a forked pool worker
+    assert blas_threads() and set(blas_threads().values()) == {1}
+    for threads in harness._map_trials(_blas_threads_in_worker, None, 2, [0, 1]):
+        assert threads == blas_threads()
+    root = Path(__file__).resolve().parents[1]
+    runs = {"blas1": ({"OPENBLAS_NUM_THREADS": "1"}, "all-cpus", 1),
+            "blas2-pool2": ({"OPENBLAS_NUM_THREADS": "2"}, "all-cpus", 2),
+            "one-cpu": ({}, "one-cpu", 1)}
+    manifests = {}
+    for name, (env, cpus, threads) in runs.items():
+        env = {**os.environ, **env,
+               "PYTHONPATH": os.pathsep.join([str(root / "src")] + sys.path)}
+        out = tmp_path / name
+        argv = ["run", "--config", str(root / "configs" / "small.json"),
+                "--experiment", "all", "--seed", "7", "--threads", str(threads),
+                "--out", str(out)]
+        res = subprocess.run([sys.executable, "-c", _CLI, cpus] + argv, env=env,
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        manifests[name] = json.loads((out / "manifest.json").read_text())
+    for m in manifests.values():
+        assert set(m["environment"]["blas_threads"].values()) == {1}
+    assert manifests["blas1"]["environment"]["spectral_lanes"] == len(os.sched_getaffinity(0))
+    assert manifests["one-cpu"]["environment"]["spectral_lanes"] == 1
+    names = sorted(p.name for p in (tmp_path / "blas1").iterdir()
+                   if p.name != "manifest.json")
+    assert len(names) == 16
+    for other in ("blas2-pool2", "one-cpu"):
+        assert sorted(p.name for p in (tmp_path / other).iterdir()
+                      if p.name != "manifest.json") == names
+        for f in names:
+            assert filecmp.cmp(tmp_path / "blas1" / f, tmp_path / other / f,
+                               shallow=False), (other, f)

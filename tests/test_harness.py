@@ -371,26 +371,28 @@ def test_dense_solve_is_an_oracle_only(monkeypatch):
                 (st.error, st.normalizer, st.ratio), rel=1e-10, abs=0.0)
 
 
-def test_pool_warns_without_threadpoolctl(monkeypatch, capsys):
+def test_pool_pins_blas_without_threadpoolctl(monkeypatch, capsys):
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    monkeypatch.setattr(resolvent_module, "BLAS_PIN", resolvent_module.BLAS_PIN)
+    assert resolvent_module.pin_blas() == "ctypes"
+    threads = resolvent_module.blas_threads()
+    assert threads and set(threads.values()) == {1}
     cfg = small_config(trials=2, threads=2)
     rep = run_one(cfg, "lsc")
     assert not rep.failures
-    err = capsys.readouterr().err
-    assert err.count("threadpoolctl is not installed") == 1
+    assert capsys.readouterr().err == ""
     assert rep.rows == run_one(replace(cfg, threads=1), "lsc").rows
 
 
 def test_one_spectrum_per_terminal_state(monkeypatch):
     # lsc and the trace tables share one eigvalsh of each t = 1 state, and
     # entrywise and the characteristics endpoint share one eigh
-    from scipy import linalg
     calls = {"eigvalsh": [], "eigh": []}
     for name, seen in calls.items():
-        def counted(a, *args, _real=getattr(linalg, name), _seen=seen, **kwargs):
+        def counted(a, *args, _real=getattr(np.linalg, name), _seen=seen, **kwargs):
             _seen.append(np.array(a, copy=True))
             return _real(a, *args, **kwargs)
-        monkeypatch.setattr(linalg, name, counted)
+        monkeypatch.setattr(np.linalg, name, counted)
     cfg = small_config(density=DensitySpec.mixture((0.5, 0.5), (0.5, 1.2)),
                        n_values=(48, 64), trials=2, n_steps=60, n_checkpoints=11,
                        n_re=3, n_im=3, senergy_times=3)

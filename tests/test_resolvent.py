@@ -1,5 +1,8 @@
 """Resolvent algebra: exact identities, operators, concentration inputs."""
 
+import sys
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -237,3 +240,38 @@ def test_self_consistency_zero_matrix_closed_form():
 def test_self_consistency_wigner_small():
     s = resolvent(wigner(300, 13), 1j)
     assert self_consistent_residual(s) <= 0.1
+
+
+def test_blas_pin_fails_loudly(monkeypatch):
+    from wigflow import resolvent as module
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    monkeypatch.setattr(module, "BLAS_PIN", module.BLAS_PIN)
+    # no library to pin
+    monkeypatch.setattr(module, "_openblas_libraries", lambda: [])
+    with pytest.raises(RuntimeError, match="not pinned"):
+        module.pin_blas()
+    # a library whose thread count does not read back as 1
+    fake = types.SimpleNamespace(set=lambda k: None, get=lambda: 2)
+    monkeypatch.setattr(module, "_openblas_libraries", lambda: [("libfake.so", fake, "{}")])
+    with pytest.raises(RuntimeError, match="libfake.so"):
+        module.pin_blas()
+
+
+def test_blas_pin_prefers_threadpoolctl(monkeypatch):
+    from wigflow import resolvent as module
+    calls = []
+
+    def threadpool_limits(limits=None):   # stand-ins that act through ctypes
+        calls.append(limits)
+        for _name, lib, sym in module._openblas_libraries():
+            getattr(lib, sym.format("set"))(limits)
+
+    def threadpool_info():
+        return [{"filepath": name, "num_threads": getattr(lib, sym.format("get"))(),
+                 "user_api": "blas"} for name, lib, sym in module._openblas_libraries()]
+    monkeypatch.setitem(sys.modules, "threadpoolctl", types.SimpleNamespace(
+        threadpool_limits=threadpool_limits, threadpool_info=threadpool_info))
+    monkeypatch.setattr(module, "BLAS_PIN", module.BLAS_PIN)
+    assert module.pin_blas() == "threadpoolctl"
+    assert calls == [1]
+    assert set(module.blas_threads().values()) == {1}
