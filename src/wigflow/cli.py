@@ -207,9 +207,9 @@ def cmd_run(args) -> int:
         return EXIT_ASSUMPTION
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    experiments = {}
+    experiments, failures, telemetry = {}, {}, {}
     worst = 0.0
-    for name, report in run_experiments(cfg, selected, cd).items():
+    for name, report in run_experiments(cfg, selected, cd, telemetry).items():
         csv_paths = write_report_csv(report, out_dir)
         summary_path = out_dir / f"{name}-summary-{cfg.base_seed}.json"
         _write_json(summary_path, report.summary())
@@ -221,6 +221,8 @@ def cmd_run(args) -> int:
             "outputs": sorted(Path(p).name for p in csv_paths)
             + [summary_path.name],
         }
+        failures[name] = [{"n": f.n, "trial": f.trial, "traceback": f.traceback}
+                          for f in report.failures]
         print(f"{name}: {len(csv_paths)} csv file(s), "
               f"failure fraction {frac:.3f}")
 
@@ -242,6 +244,8 @@ def cmd_run(args) -> int:
             "blas_threads": blas_threads(), "blas_pin": BLAS_PIN,
             "spectral_lanes": spectral_lanes(cfg.processes),
             "cpu_count": os.cpu_count(), "affinity": len(os.sched_getaffinity(0))},
+        # what the run saw happen; never in the outputs either
+        "telemetry": {"sde_clamps": telemetry["sde_clamps"], "failures": failures},
     }
     # every listed artifact exists before the manifest itself appears
     _write_json(out_dir / "manifest.json", manifest)

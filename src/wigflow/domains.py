@@ -20,9 +20,11 @@ def msc(z):
     m(z) = (-z + sqrt(z - 2) sqrt(z + 2)) / 2, the root of
     m^2 + z m + 1 = 0 with Im m >= 0 and m ~ -1/z at infinity.  The
     factored square root keeps the branch cut on [-2, 2], so the formula
-    is valid on the whole closed upper half plane, boundary included.
+    is valid on the whole closed upper half plane, boundary included;
+    adding +0j turns an imaginary part of -0.0 (still the real axis) into
+    +0.0, which keeps the root above the cut.
     """
-    z = np.asarray(z, dtype=complex)
+    z = np.asarray(z, dtype=complex) + 0j
     m = 0.5 * (-z + np.sqrt(z - 2.0) * np.sqrt(z + 2.0))
     return m if m.ndim else complex(m)
 

@@ -16,12 +16,14 @@ Fields come in two flavors: the deterministic frozen-semicircle stand-in
 (closed-form checks) and PathTraceEvaluator, which couples the flow to a
 matrix path through cached eigenvalue tables at the checkpoint times and
 the midpoints the integrator visits.  The tables are independent
-decompositions and run on concurrent lanes.
+decompositions; SpectralLanes runs them on concurrent lanes, from the
+moment each checkpoint state exists.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,15 +60,136 @@ class CharacteristicCurve:
         return complex(self.xi[-1])
 
 
+def _checkpoint_table(state, _prev, buf):
+    vars(state)["eigenvalues"] = np.linalg.eigvalsh(_unpack(state.hu, state.n, buf))
+
+
+def _midpoint_table(state, prev, buf):
+    t0, other = (0.0, None) if prev is None else (prev.t, prev.hu)
+    state.midpoints[t0] = np.linalg.eigvalsh(_unpack(state.hu, state.n, buf, other, 0.5))
+
+
+def _basis(state, _prev, buf):
+    vars(state)["resolvent"] = EigenResolvent._of(_unpack(state.hu, state.n, buf))
+
+
+class SpectralLanes:
+    """Eigendecompositions of matrix states, run from the moment they are queued.
+
+    Used as a `with` block.  The first queued job starts lanes - 1 helper
+    threads, which work through the queue while the caller goes on (say,
+    integrating the path whose states it queues).  Leaving the block drains
+    the queue (`drain`): the calling thread joins as the last lane until it
+    is empty, then every helper is joined and the first job error, if any,
+    is raised.  An error inside the block drops the queue instead.  So one
+    lane starts no thread, and no thread outlives the block.
+
+    Each result goes into a cache of its state (`eigenvalues`, `midpoints`,
+    `resolvent`), so the lane count changes no value and a filled cache
+    queues nothing.  Lane code calls numpy and private helpers only, and it
+    fills the caches itself: reading `state.eigenvalues` from a lane would
+    serialize the lanes (cached_property locks the whole class on 3.11).
+    """
+
+    def __init__(self, lanes: int = 1):
+        self._lanes = lanes
+        self._jobs = deque()
+        self._ready = threading.Condition()
+        self._closed = False
+        self._helpers = []
+        self._errors = []
+
+    def tables(self, prev, state) -> None:
+        """Queue the trace tables read at `state`: the midpoint back to `prev`,
+        the previous checkpoint (None: t = 0), and the state itself."""
+        jobs = []
+        if (0.0 if prev is None else prev.t) not in state.midpoints:
+            jobs.append((_midpoint_table, state, prev))
+        if "eigenvalues" not in vars(state):
+            jobs.append((_checkpoint_table, state, None))
+        self._submit(jobs, first=False)
+
+    def basis(self, state) -> None:
+        """Queue the eigh basis of `state` ahead of every queued table: the
+        longest job starts first."""
+        if "resolvent" not in vars(state):
+            self._submit([(_basis, state, None)], first=True)
+
+    def _submit(self, jobs, first):
+        with self._ready:
+            if self._errors:
+                return
+            if first:
+                self._jobs.extendleft(reversed(jobs))
+            else:
+                self._jobs.extend(jobs)
+            self._ready.notify(len(jobs))
+        if jobs and not self._helpers:
+            self._helpers = [threading.Thread(target=self._lane, daemon=True)
+                             for _ in range(self._lanes - 1)]
+            for helper in self._helpers:
+                helper.start()
+
+    def _lane(self):
+        buf = None   # one N x N matrix per lane, reused by every job
+        while True:
+            with self._ready:
+                while not self._jobs and not self._closed:
+                    self._ready.wait()
+                if not self._jobs:
+                    return
+                job, state, prev = self._jobs.popleft()
+            n = state.n
+            if buf is None or buf.shape[0] != n:
+                buf = np.empty((n, n))
+            try:
+                job(state, prev, buf)
+            except Exception as exc:
+                with self._ready:
+                    self._errors.append(exc)
+                    self._jobs.clear()
+
+    def _close(self, drop: bool) -> None:
+        with self._ready:
+            self._closed = True
+            if drop:
+                self._jobs.clear()
+            self._ready.notify_all()
+        if drop:
+            for helper in self._helpers:
+                helper.join()
+
+    def drain(self) -> None:
+        """Work as the last lane until the queue is empty, join the helpers,
+        and raise the first job error; leaving the block calls this."""
+        self._close(drop=False)
+        self._lane()
+        for helper in self._helpers:
+            helper.join()
+        if self._errors:
+            raise self._errors[0]
+
+    def __enter__(self) -> "SpectralLanes":
+        return self
+
+    def __exit__(self, exc_type, _exc, _tb):
+        if exc_type is None:
+            self.drain()
+        else:
+            self._close(drop=True)
+        return False
+
+
 class PathTraceEvaluator:
     """Resolvent trace field of a matrix path.
 
     Eigenvalues of H(t) are tabulated at the ODE grid times (t = 0 plus the
     path checkpoints) and at interval midpoints, with the packed H(t)
     interpolated linearly between checkpoints.  The tables are computed on
-    `lanes` concurrent lanes, the calling thread one of them, and stored by
-    time, so the lane count changes no value.  Off-table times (reached
-    only by stopping-time bisection) decompose on demand and join the cache.
+    `lanes` SpectralLanes, unless the states' caches already hold them (a
+    run queues them while the path integrates), and keyed by time, so the
+    lane count changes no value.  Off-table times (reached only by
+    stopping-time bisection) decompose on demand and join the cache.
     """
 
     def __init__(self, path: MatrixPath, lanes: int = 1):
@@ -76,29 +199,15 @@ class PathTraceEvaluator:
             raise ValueError("path must retain at least two checkpoints")
         self.n = states[0].n
         self.ode_times = np.concatenate([[0.0], [s.t for s in states]])
-        # (time, hu, other, scale): the matrix of scale * (hu + other)
-        jobs, prev_hu, prev_t = [], None, 0.0
-        for s in states:
-            jobs.append((prev_t + 0.5 * (s.t - prev_t), s.hu, prev_hu, 0.5))
-            if "eigenvalues" not in vars(s):
-                jobs.append((s.t, s.hu, None, 1.0))
-            prev_hu, prev_t = s.hu, s.t
+        with SpectralLanes(lanes) as spectral:
+            for prev, s in zip([None] + states[:-1], states):
+                spectral.tables(prev, s)
         self._lam = {0.0: np.zeros(self.n)}
-
-        def lane(part):   # runs concurrently: numpy and private helpers only
-            buf = np.empty((self.n, self.n))
-            for t, hu, other, scale in part:
-                self._lam[t] = np.linalg.eigvalsh(_unpack(hu, self.n, buf, other, scale))
-
-        with ThreadPoolExecutor(max(lanes - 1, 1)) as pool:
-            helpers = [pool.submit(lane, jobs[i::lanes]) for i in range(1, lanes)]
-            lane(jobs[::lanes])
-            for h in helpers:
-                h.result()
-        # fill the states' caches here: reading s.eigenvalues from the lanes would
-        # serialize them (cached_property locks the whole class on Python 3.11)
+        prev_t = 0.0
         for s in states:
-            self._lam[s.t] = vars(s).setdefault("eigenvalues", self._lam.get(s.t))
+            self._lam[prev_t + 0.5 * (s.t - prev_t)] = s.midpoints[prev_t]
+            self._lam[s.t] = s.eigenvalues
+            prev_t = s.t
         self._keys = np.array(sorted(self._lam))
 
     def _eigenvalues(self, t: float) -> np.ndarray:

@@ -14,23 +14,30 @@ Four experiments read the same matrix paths H(t), one per (N, trial):
 
 run_experiments evolves each path once, on the union of the checkpoints
 the selected experiments read, and gives every experiment a view holding
-only its own checkpoint states.  A failure to evolve fails the trial for
-every experiment, a failure to read it for that experiment only.  The
-surviving results of each experiment are reduced into one Report.
+only its own checkpoint states.  Each kept state goes to the trial's
+spectral lanes as soon as it exists: the trace tables of the experiments
+that read them, and the t = 1 eigh basis.  The lanes work while the path
+integrates and are drained before any experiment reads the path.  A
+failure to evolve or to decompose fails the trial for every experiment, a
+failure to read it for that experiment only.  The surviving results of
+each experiment are reduced into one Report.
 
 Trials are independent work units; a fork-based pool may execute them,
 but results are reduced in task-submission order, so reports are byte
-identical at any pool size.  Each trial process builds its trace tables on
-cores / processes spectral lanes (threads), and BLAS runs at one thread.
+identical at any pool size.  Each trial process runs cores / processes
+spectral lanes (threads), and BLAS runs at one thread.
 CSV rows hold Python floats serialized with repr (shortest round-trip
 form), which makes the files reproducible at the byte level.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
+import numbers
 import os
-from dataclasses import asdict, dataclass
+import traceback
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -38,7 +45,8 @@ import numpy as np
 from . import streams
 from .density import CalibratedDensity, DensitySpec, calibrate, sample_iid
 from .domains import SpectralDomain, msc
-from .flows import PathTraceEvaluator, contraction_check, flow_gamma, map_to_initial
+from .flows import (PathTraceEvaluator, SpectralLanes, contraction_check, flow_gamma,
+                    map_to_initial)
 from .martingale import (PathConfig, checkpoint_times, evolve,
                          geometric_uniform_schedule)
 from .resolvent import EigenResolvent, self_energy_from_diag
@@ -81,7 +89,24 @@ _EXPERIMENT_KEYS = {"n_values", "trials", "seed", "marginal_times", "char_im",
 _TOP_KEYS = {"density", "path", "domain", "experiments", "output"}
 
 
-def _reject_unknown(section: str, mapping: Mapping, allowed: set) -> None:
+def _integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# the element type of each list field; every other field after density is
+# one int or one real number, as annotated
+_ELEMENTS = {"n_values": (_integer, "integers"), "W": (_real, "finite numbers"),
+             "marginal_times": (_real, "finite numbers"),
+             "experiments": (lambda v: isinstance(v, str), "names")}
+
+
+def _reject_unknown(section: str, mapping, allowed: set) -> None:
+    if not isinstance(mapping, Mapping):
+        raise ConfigError(f"{section!r} section must be an object")
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {section!r} section: {sorted(unknown)}")
@@ -112,12 +137,27 @@ class ExperimentConfig:
     experiments: tuple = ("lsc",)
 
     def __post_init__(self):
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if f.name in _ELEMENTS:
+                each, kind = _ELEMENTS[f.name]
+                ok = isinstance(value, (list, tuple)) and all(map(each, value))
+                kind = f"a list of {kind}"
+            else:
+                ok = (_integer if f.type == "int" else _real)(value)
+                kind = "an integer" if f.type == "int" else "a finite number"
+            if not ok:
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
         self.n_values = tuple(int(n) for n in self.n_values)
         self.W = tuple(float(w) for w in self.W)
         self.marginal_times = tuple(float(t) for t in self.marginal_times)
         self.experiments = tuple(str(e) for e in self.experiments)
-        if not self.n_values:
-            raise ConfigError("n_values must not be empty")
+        if not self.n_values or not self.experiments:
+            raise ConfigError("n_values and the experiments to run must not be empty")
+        if len(self.W) != 2:
+            raise ConfigError(f"W must be an interval [lo, hi], got {list(self.W)}")
+        if self.base_seed < 0:
+            raise ConfigError("seed must be >= 0")
         if min(self.n_values) < 32:
             raise ConfigError("all N values must be >= 32")
         if self.trials < 1:
@@ -157,9 +197,9 @@ class ExperimentConfig:
             density = DensitySpec.from_config(doc["density"])
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"density section: {exc}") from exc
-        path = dict(doc.get("path", {}))
-        domain = dict(doc.get("domain", {}))
-        exper = dict(doc.get("experiments", {}))
+        path = doc.get("path", {})
+        domain = doc.get("domain", {})
+        exper = doc.get("experiments", {})
         _reject_unknown("path", path, _PATH_KEYS)
         _reject_unknown("domain", domain, _DOMAIN_KEYS)
         _reject_unknown("experiments", exper, _EXPERIMENT_KEYS)
@@ -548,12 +588,16 @@ class _Experiment:
     times(cfg) are the checkpoints it reads; trial(cfg, n, trial, path)
     reads one path restricted to those checkpoints; reduce(cfg, cd,
     results) turns the surviving (n, trial, result) triples, in task
-    order, into rows per CSV table and the summary statistics.
+    order, into rows per CSV table and the summary statistics.  tables
+    and basis say whether trial reads the trace tables of its checkpoints
+    and the eigh basis of the t = 1 state, which the lanes then prepare.
     """
 
     times: Callable
     trial: Callable
     reduce: Callable
+    tables: bool = False
+    basis: bool = False
 
 
 def _terminal(_cfg):
@@ -564,11 +608,11 @@ EXPERIMENTS = {
     "lsc": _Experiment(_terminal, _lsc_trial, _lsc_reduce),
     "characteristics": _Experiment(
         lambda cfg: checkpoint_times(cfg.schedule(), n_checkpoints=cfg.n_checkpoints),
-        _characteristic_trial, _characteristic_reduce),
+        _characteristic_trial, _characteristic_reduce, tables=True, basis=True),
     "marginal": _Experiment(
         lambda cfg: np.array(nearest_schedule_times(cfg.schedule(), cfg.marginal_times)),
         _marginal_trial, _marginal_reduce),
-    "entrywise": _Experiment(_terminal, _entrywise_trial, _entrywise_reduce),
+    "entrywise": _Experiment(_terminal, _entrywise_trial, _entrywise_reduce, basis=True),
 }
 EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 
@@ -578,6 +622,7 @@ class TrialFailure:
     n: int
     trial: int
     message: str
+    traceback: str = field(default="", repr=False)   # for the manifest only
 
 
 @dataclass
@@ -608,7 +653,8 @@ class Report:
             "trials": self.trials,
             "seed": self.base_seed,
             **self.stats,
-            "failures": [asdict(f) for f in self.failures],
+            "failures": [{"n": f.n, "trial": f.trial, "message": f.message}
+                         for f in self.failures],
         }
 
 
@@ -644,41 +690,67 @@ def _map_trials(worker, state, processes, tasks):
 
 
 def _failure(n, trial, exc):
-    return TrialFailure(n=n, trial=trial, message=f"{type(exc).__name__}: {exc}")
+    return TrialFailure(n=n, trial=trial, message=f"{type(exc).__name__}: {exc}",
+                        traceback="".join(traceback.format_exception(exc)))
+
+
+def _handoff(lanes, plan):
+    """What evolve does with each state it keeps: queue the trace tables of
+    the experiments that read them, between consecutive checkpoints of
+    their own view, and the t = 1 basis if an experiment reads it."""
+    basis = any(exp.basis for exp, _times in plan)
+    views = [[set(times.tolist()), None] for exp, times in plan if exp.tables]
+
+    def keep(state):
+        if basis and state.t == 1.0:
+            lanes.basis(state)
+        for view in views:   # [checkpoint times, the last state queued]
+            if state.t in view[0]:
+                lanes.tables(view[1], state)
+                view[1] = state
+    return keep
 
 
 def _trial(task):
-    """Evolve one path and hand each experiment a view of its checkpoints."""
+    """Evolve one path, its spectral work queued on the lanes as it goes, and
+    hand each experiment a view of its checkpoints.  Returns the path's
+    clamp count (0 if it failed) and one result or failure per experiment."""
     n, trial = task
     cd, cfg, plan, checkpoints = _STATE
     try:
-        path = evolve(cd, cfg.path_config(n, trial, checkpoints=checkpoints))
+        with SpectralLanes(_LANES) as lanes:
+            path = evolve(cd, cfg.path_config(n, trial, checkpoints=checkpoints),
+                          on_checkpoint=_handoff(lanes, plan))
     except Exception as exc:
-        return [_failure(n, trial, exc)] * len(plan)
+        return 0, [_failure(n, trial, exc)] * len(plan)
     out = []
     for exp, times in plan:
         try:
             out.append(exp.trial(cfg, n, trial, path.view(times)))
         except Exception as exc:
             out.append(_failure(n, trial, exc))
-    return out
+    return path.total_clamps, out
 
 
 def run_experiments(config: ExperimentConfig, names: Sequence[str],
-                    cd: CalibratedDensity | None = None) -> dict:
+                    cd: CalibratedDensity | None = None,
+                    telemetry: dict | None = None) -> dict:
     """Run the named experiments on shared paths.
 
     Each (N, trial) path is integrated once, on the union of the
     checkpoints the experiments read.  Returns {name: Report} in the
-    order of `names`.
+    order of `names`.  A telemetry dict, if given, receives `sde_clamps`:
+    the SDE entries clamped over every evolved path.
     """
     if cd is None:
         cd = calibrate(config.density)
     plan = [(EXPERIMENTS[name], EXPERIMENTS[name].times(config)) for name in names]
     checkpoints = np.unique(np.concatenate([times for _exp, times in plan]))
     tasks = [(n, t) for n in config.n_values for t in range(config.trials)]
-    results = _map_trials(_trial, (cd, config, plan, checkpoints),
-                          config.processes, tasks)
+    clamps, results = zip(*_map_trials(_trial, (cd, config, plan, checkpoints),
+                                       config.processes, tasks))
+    if telemetry is not None:
+        telemetry["sde_clamps"] = int(sum(clamps))
     reports = {}
     for i, (name, (exp, _times)) in enumerate(zip(names, plan)):
         done, failures = [], []

@@ -108,12 +108,15 @@ class PathConfig:
 class MatrixState:
     """H(t) as its upper triangle hu in np.triu_indices order, 4 MB at N = 1000.
     H (exactly symmetric) and sigma (the SDE step's profile, bit for bit) are
-    rebuilt per access; `eigenvalues` (eigvalsh) and `resolvent` (eigh) once."""
+    rebuilt per access; `eigenvalues` (eigvalsh) and `resolvent` (eigh) once.
+    midpoints[t0] holds the eigvalsh table of the state halfway back to the
+    checkpoint at t0 of the same path (t0 = 0: half of H)."""
 
     t: float
     hu: np.ndarray
     density: CalibratedDensity = field(repr=False, compare=False)
     clamp_count: int = 0
+    midpoints: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -243,13 +246,16 @@ def step(cd: CalibratedDensity, state: MatrixState, dt: float,
 
 
 def evolve(cd: CalibratedDensity, config: PathConfig,
-           gen: np.random.Generator | None = None) -> MatrixPath:
+           gen: np.random.Generator | None = None,
+           on_checkpoint=None) -> MatrixPath:
     """Integrate the matrix SDE over the configured schedule.
 
     Only H at config.checkpoints is kept (sigma is recomputed from
     it when read); checkpoints=np.array([1.0]) keeps the terminal state
     alone.  The random draws do not depend on the checkpoints, so a state
     is the same bit for bit whichever other checkpoints are kept.
+    on_checkpoint(state), if given, receives each kept state as soon as it
+    exists, while the integration goes on; its hu is never written again.
     """
     if gen is None:
         gen = streams.path_stream(config.base_seed, config.n, config.trial)
@@ -257,12 +263,15 @@ def evolve(cd: CalibratedDensity, config: PathConfig,
     is_checkpoint = np.isin(sched, config.checkpoints)
     kernel = _Kernel.exact(cd, config.n, config.t_init, gen)
     total_clamps = kernel.clamps
-    states = [kernel.state()] if is_checkpoint[0] else []
-    for k in range(len(sched) - 1):
-        kernel.advance(sched[k + 1] - sched[k], sched[k + 1])
-        total_clamps += kernel.clamps
-        if is_checkpoint[k + 1]:
+    states = []
+    for k in range(len(sched)):
+        if k:
+            kernel.advance(sched[k] - sched[k - 1], sched[k])
+            total_clamps += kernel.clamps
+        if is_checkpoint[k]:
             states.append(kernel.state())
+            if on_checkpoint is not None:
+                on_checkpoint(states[-1])
     return MatrixPath(config=config, states=states, total_clamps=total_clamps)
 
 

@@ -152,6 +152,17 @@ class EigenResolvent:
         H = np.asarray(H)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise DimensionMismatch(f"H must be square, got {H.shape}")
+        self._decompose(H)
+
+    @classmethod
+    def _of(cls, H: np.ndarray) -> "EigenResolvent":
+        """The same basis, built without calling __init__: the spectral lanes
+        run this off the calling thread, where no public method may run."""
+        er = cls.__new__(cls)
+        er._decompose(H)
+        return er
+
+    def _decompose(self, H: np.ndarray) -> None:
         self.n = H.shape[0]
         self.eigenvalues, self._V = np.linalg.eigh(H)
         self._V2 = self._V * self._V

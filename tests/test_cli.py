@@ -1,10 +1,13 @@
 """Command-line shell: exit codes, manifests, fault injection."""
 
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wigflow import cli, harness
 from wigflow.domains import msc
@@ -158,6 +161,70 @@ def test_threads_below_one_exit1(tmp_path, capsys, threads):
     assert not (tmp_path / "out").exists()
 
 
+def _corrupt(doc, section, key, value):
+    if section is None:
+        doc[key] = value
+    elif key is None:
+        doc[section] = value
+    else:
+        doc[section][key] = value
+    return doc
+
+
+_BAD_VALUE = st.one_of(st.none(), st.text(max_size=3), st.lists(st.booleans(), max_size=2),
+                       st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+# each draw breaks one thing a run config must get right
+_MALFORMED = st.one_of(
+    # a key no section knows (all names in this alphabet are unknown)
+    st.tuples(st.sampled_from([None, "density", "path", "domain", "experiments", "output"]),
+              st.text("xyzq_", min_size=1, max_size=6), st.integers()),
+    # a section that is not an object
+    st.tuples(st.sampled_from(["density", "path", "domain", "experiments", "output"]),
+              st.none(), st.one_of(st.integers(), st.text(max_size=3),
+                                   st.lists(st.integers(), max_size=2))),
+    # a value of the wrong type
+    st.tuples(st.just("experiments"), st.sampled_from(["n_values", "trials", "seed", "run",
+                                                       "marginal_times", "char_im"]),
+              _BAD_VALUE),
+    st.tuples(st.just("path"), st.sampled_from(["n_steps", "t_init", "n_checkpoints"]),
+              _BAD_VALUE),
+    st.tuples(st.just("domain"), st.sampled_from(["theta", "W", "n_im", "n_re"]), _BAD_VALUE),
+    st.tuples(st.just("density"), st.just("kind"), _BAD_VALUE),
+    # a count that is not a whole number, a real that is not finite
+    st.tuples(st.just("experiments"), st.sampled_from(["trials", "seed"]),
+              st.integers(1, 9).map(lambda i: i + 0.5)),
+    st.tuples(st.just("experiments"), st.just("n_values"),
+              st.lists(st.integers(64, 99).map(lambda i: i + 0.5), min_size=1, max_size=2)),
+    st.tuples(st.just("path"), st.sampled_from(["n_steps", "n_checkpoints"]),
+              st.integers(5, 39).map(lambda i: i + 0.5)),
+    st.tuples(st.sampled_from([("domain", "theta"), ("experiments", "char_im")]),
+              st.sampled_from([float("nan"), float("inf"), float("-inf")])).map(
+                  lambda pair: (*pair[0], pair[1])),
+    # a value out of range
+    st.tuples(st.just("experiments"), st.just("n_values"),
+              st.lists(st.integers(-5, 31), min_size=1, max_size=3)),
+    st.tuples(st.just("experiments"), st.just("trials"), st.integers(-3, 0)),
+    st.tuples(st.just("experiments"), st.just("marginal_times"),
+              st.lists(st.floats(1.0, 9.0, exclude_min=True), min_size=1, max_size=2)),
+    st.tuples(st.just("path"), st.just("n_checkpoints"), st.integers(-3, 1)),
+    st.tuples(st.just("domain"), st.just("n_im"), st.integers(-3, 1)),
+    st.tuples(st.just("density"), st.just("kind"), st.sampled_from(["", "gauss", "laplace"])),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_MALFORMED)
+def test_malformed_run_configs_exit1_and_write_nothing(corruption):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        doc = _corrupt(smoke_doc(tmp / "unused"), *corruption)
+        cfgp = write_config(tmp, doc)
+        out = tmp / "out"
+        assert cli.main(["run", "--config", str(cfgp), "--out", str(out),
+                         "--threads", "1"]) == 1
+        assert not out.exists()
+
+
 # ------------------------------------------------------------ cmd_run
 
 
@@ -173,6 +240,8 @@ def test_run_all_manifest_and_determinism(tmp_path, capsys):
                                             "marginal", "entrywise"}
     assert manifest["config_echo"] == cfgp.read_text(encoding="utf-8")
     assert manifest["seed"] == 11 and manifest["exit_code"] == 0
+    assert manifest["telemetry"] == {"sde_clamps": 0, "failures": {
+        name: [] for name in manifest["experiments"]}}
     for entry in manifest["experiments"].values():
         assert entry["status"] == "ok"
         for fname in entry["outputs"]:
@@ -282,7 +351,17 @@ def test_run_all_trials_failed_exit3(tmp_path, monkeypatch, capsys):
         listed.update(entry["outputs"])
         summary = json.loads((out / f"{name}-summary-11.json").read_text())
         assert len(summary["failures"]) == 4
-        assert summary["failures"][0]["message"] == "FloatingPointError: synthetic path loss"
+        assert summary["failures"][0] == {
+            "n": 64, "trial": 0, "message": "FloatingPointError: synthetic path loss"}
+        # the manifest keeps each failure's full traceback
+        failed = manifest["telemetry"]["failures"][name]
+        assert [(f["n"], f["trial"]) for f in failed] == [(n, t) for n in (64, 96)
+                                                          for t in range(2)]
+        for f in failed:
+            assert f["traceback"].startswith("Traceback (most recent call last)")
+            assert "in broken" in f["traceback"]
+            assert f["traceback"].endswith("FloatingPointError: synthetic path loss\n")
+    assert manifest["telemetry"]["sde_clamps"] == 0
     # the manifest lists exactly the files the run left
     assert listed == {p.name for p in out.iterdir()}
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wigflow.domains import SpectralDomain, frozen_semicircle_drift, msc
 
@@ -22,6 +23,25 @@ def test_msc_quadratic_residual_on_grid():
     m = msc(z)
     assert np.max(np.abs(m * m + z * m + 1.0)) <= 1e-12
     assert np.min(m.imag) > 0.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(-10.0, 10.0),
+       st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-12, 10.0)))
+def test_msc_solves_the_quadratic_on_its_branch(x, y):
+    # closed upper half plane, the real axis (either signed zero) included:
+    # m solves m^2 + z m + 1 = 0 and is the root with Im m > 0 (on the axis,
+    # Im m >= 0 and |m| <= 1; the other root is 1/m).  Below Im z = 1e-12,
+    # Im m underflows outside the bulk.
+    z = complex(x, y)
+    m = msc(z)
+    assert abs(m * m + z * m + 1.0) <= 1e-13 * (1.0 + abs(z)) ** 2
+    assert abs(m) <= 1.0 + 1e-12
+    if y > 0.0:
+        assert m.imag > 0.0
+    else:
+        assert m.imag >= 0.0
+        assert (m.imag > 0.0) == (abs(x) < 2.0)
 
 
 def test_msc_decay_at_infinity():

@@ -7,13 +7,16 @@ forms are the oracles here; path-coupled runs are checked for internal
 consistency (grids, caching, determinism, decomposition algebra).
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
 from wigflow.density import DensitySpec, calibrate
 from wigflow.domains import SpectralDomain, frozen_semicircle_drift, msc
-from wigflow.flows import (CharacteristicCurve, PathTraceEvaluator,
+from wigflow.flows import (CharacteristicCurve, PathTraceEvaluator, SpectralLanes,
                            contraction_check, drift_decomposition, flow_gamma,
                            flow_lambda, map_to_initial, ODEStepFailure)
 from wigflow.martingale import (PathConfig, checkpoint_times, evolve,
@@ -171,6 +174,73 @@ def test_evaluator_midpoints_and_inserts(gauss_path):
     assert ev(t, z) == first and len(ev._lam) == n_keys
     with pytest.raises(ValueError):
         ev(1.5, z)
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_spectral_lanes_raise_and_join(gauss_path, monkeypatch, lanes):
+    cd, path = gauss_path
+    fresh = evolve(cd, path.config)   # empty caches, same states bit for bit
+    pairs = list(zip([None] + fresh.states[:-1], fresh.states))
+    before = threading.active_count()
+    # an error inside the block drops the queue and joins every lane
+    with pytest.raises(KeyError):
+        with SpectralLanes(lanes) as spectral:
+            for prev, s in pairs:
+                spectral.tables(prev, s)
+            raise KeyError("inside the block")
+    assert threading.active_count() == before
+    # a job's error is raised on leaving the block, whichever lane ran it
+    real, calls = np.linalg.eigvalsh, []
+
+    def eigvalsh(a, *args, **kwargs):
+        calls.append(None)
+        if len(calls) == 5:
+            raise np.linalg.LinAlgError("synthetic")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    with pytest.raises(np.linalg.LinAlgError, match="synthetic"):
+        with SpectralLanes(lanes) as spectral:
+            for prev, s in pairs:
+                spectral.tables(prev, s)
+    assert threading.active_count() == before
+
+
+def test_spectral_lanes_stress(gauss_path, monkeypatch):
+    # more lanes than cores and a short switch interval: each queued job
+    # runs exactly once, its result lands in its own cache, none is lost
+    cd, path = gauss_path
+    fresh = evolve(cd, path.config)
+    real, calls = np.linalg.eigvalsh, []
+
+    def eigvalsh(a, *args, **kwargs):
+        calls.append(None)
+        return real(a, *args, **kwargs)
+
+    def run():
+        with SpectralLanes(4) as spectral:
+            spectral.basis(fresh.states[-1])
+            for prev, s in zip([None] + fresh.states[:-1], fresh.states):
+                spectral.tables(prev, s)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=run)
+        caller.start()
+        caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert len(calls) == 2 * len(fresh.states)
+    ev = PathTraceEvaluator(path)
+    for prev, s in zip([None] + fresh.states[:-1], fresh.states):
+        t0 = 0.0 if prev is None else prev.t
+        assert np.array_equal(s.midpoints[t0], ev._lam[t0 + 0.5 * (s.t - t0)])
+        assert np.array_equal(vars(s)["eigenvalues"], ev._lam[s.t])
+    assert np.array_equal(vars(fresh.states[-1])["resolvent"]._V,
+                          path.states[-1].resolvent._V)
 
 
 def test_stopped_process_on_path(gauss_path):

@@ -3,6 +3,7 @@
 import csv
 import filecmp
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from wigflow.harness import (CHAR_MAP_COLUMNS, ConfigError, DegenerateFit,
                              failure_fraction, fit_scaling,
                              nearest_schedule_times, run_entrywise,
                              run_experiments, write_report_csv)
+from wigflow.flows import PathTraceEvaluator, SpectralLanes
 from wigflow.martingale import evolve, geometric_uniform_schedule
 from wigflow.resolvent import EigenResolvent, self_energy_error
 
@@ -406,3 +408,121 @@ def test_one_spectrum_per_terminal_state(monkeypatch):
             H1 = final.states[-1].H
             for name, seen in calls.items():
                 assert sum(np.array_equal(a, H1) for a in seen) == 1, (name, n, trial)
+
+
+def _mixture_all_config(**kw):
+    # marginal adds a checkpoint near 0.5 that the characteristics view omits
+    base = dict(density=DensitySpec.mixture((0.5, 0.5), (0.5, 1.2)), n_values=(48, 64),
+                trials=2, n_steps=60, n_checkpoints=11, n_re=3, n_im=3, senergy_times=3,
+                marginal_times=(0.5, 1.0))
+    base.update(kw)
+    return small_config(**base)
+
+
+def test_spectra_once_per_view_checkpoint_and_midpoint(monkeypatch):
+    # an all run decomposes each characteristics table matrix (view checkpoint
+    # or midpoint back to the previous view checkpoint) once, and each t = 1
+    # state once with eigh, although the lanes start during evolve
+    calls = {"eigvalsh": [], "eigh": []}
+    for name, seen in calls.items():
+        def counted(a, *args, _real=getattr(np.linalg, name), _seen=seen, **kwargs):
+            _seen.append(np.array(a, copy=True))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    cfg = _mixture_all_config()
+    reps = run_experiments(cfg, harness.EXPERIMENT_NAMES)
+    assert all(not rep.failures for rep in reps.values())
+    times = harness.EXPERIMENTS["characteristics"].times(cfg)
+    union = np.union1d(times, harness.EXPERIMENTS["marginal"].times(cfg))
+    assert np.setdiff1d(union, times).size == 1
+    cd = calibrate(cfg.density)
+    for n in cfg.n_values:
+        for trial in range(cfg.trials):
+            view = evolve(cd, cfg.path_config(n, trial, checkpoints=union)).view(times)
+            H = [np.zeros((n, n))] + [s.H for s in view.states]
+            tables = H[1:] + [0.5 * (a + b) for a, b in zip(H[:-1], H[1:])]
+            for M in tables:
+                assert sum(np.array_equal(a, M) for a in calls["eigvalsh"]) == 1, (n, trial)
+            assert sum(np.array_equal(a, H[-1]) for a in calls["eigh"]) == 1, (n, trial)
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_live_tables_equal_tables_built_afterwards(monkeypatch, lanes):
+    cfg = _mixture_all_config(n_values=(48,), trials=1)
+    cd = calibrate(cfg.density)
+    plan = [(harness.EXPERIMENTS[name], harness.EXPERIMENTS[name].times(cfg))
+            for name in harness.EXPERIMENT_NAMES]
+    times = harness.EXPERIMENTS["characteristics"].times(cfg)
+    union = np.unique(np.concatenate([t for _exp, t in plan]))
+    assert np.setdiff1d(union, times).size == 1
+    config = cfg.path_config(48, 0, checkpoints=union)
+    with SpectralLanes(lanes) as spectral:
+        live = evolve(cd, config, on_checkpoint=harness._handoff(spectral, plan))
+    assert "resolvent" in vars(live.states[-1])
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)   # the live tables are complete
+    ev_live = PathTraceEvaluator(live.view(times), lanes)
+    monkeypatch.undo()
+    after = evolve(cd, config)
+    ev_after = PathTraceEvaluator(after.view(times), lanes)
+    assert list(ev_live._lam) == list(ev_after._lam)
+    for t, lam in ev_after._lam.items():
+        assert np.array_equal(ev_live._lam[t], lam), t
+    # the union checkpoint outside the view got nothing, the t = 1 basis is eigh's
+    assert [vars(s).keys() & {"eigenvalues", "resolvent"} for s in live.states
+            if s.t not in set(times)] == [set()]
+    basis, direct = live.states[-1].resolvent, EigenResolvent(after.states[-1].H)
+    assert np.array_equal(basis.eigenvalues, direct.eigenvalues)
+    assert np.array_equal(basis._V, direct._V) and np.array_equal(basis._V2, direct._V2)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failing_trials_leave_no_thread(monkeypatch, threads):
+    # a path that fails mid-integration, with table jobs already queued, and
+    # a decomposition that fails on a lane: both become trial failures, and
+    # every lane thread is joined before run_experiments returns
+    real_evolve, real_eigvalsh = harness.evolve, np.linalg.eigvalsh
+
+    def failing_midway(cd, pc, gen=None, on_checkpoint=None):
+        kept = []
+
+        def keep(state):
+            on_checkpoint(state)
+            kept.append(state)
+            if pc.n == 64 and pc.trial == 1 and len(kept) == 4:
+                raise FloatingPointError("synthetic mid-path loss")
+        return real_evolve(cd, pc, gen, keep)
+
+    def eigvalsh(a, *args, **kwargs):
+        if a.shape[0] == 48:
+            raise np.linalg.LinAlgError("synthetic lane loss")
+        return real_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "evolve", failing_midway)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    cfg = _mixture_all_config(threads=threads)
+    before = threading.active_count()
+    reps = run_experiments(cfg, ("lsc", "characteristics"))
+    assert threading.active_count() == before
+    for rep in reps.values():
+        assert [(f.n, f.trial, f.message) for f in rep.failures] == [
+            (48, 0, "LinAlgError: synthetic lane loss"),
+            (48, 1, "LinAlgError: synthetic lane loss"),
+            (64, 1, "FloatingPointError: synthetic mid-path loss")]
+        assert "Traceback" in rep.failures[0].traceback
+        assert "eigvalsh" in rep.failures[0].traceback
+        assert "keep" in rep.failures[2].traceback
+        assert {r[1] for r in rep.rows[next(iter(rep.rows))]} == {0}
+        # the summary keeps the message alone
+        assert set(rep.summary()["failures"][0]) == {"n", "trial", "message"}
+
+
+def test_telemetry_counts_clamps_of_every_path():
+    cfg = small_config(density=DensitySpec.mixture((0.5, 0.5), (0.5, 1.2)), trials=2)
+    cd = replace(calibrate(cfg.density))
+    cd.h_max = 1.0   # most entries lie past it, so the SDE clamps them
+    telemetry = {}
+    reps = run_experiments(cfg, ("lsc",), cd, telemetry)
+    assert not reps["lsc"].failures
+    want = sum(evolve(cd, cfg.path_config(64, t, checkpoints=np.array([1.0]))).total_clamps
+               for t in range(cfg.trials))
+    assert telemetry == {"sde_clamps": want} and want > 0
