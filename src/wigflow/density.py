@@ -326,7 +326,6 @@ class AssumptionReport:
     variance: float
     integral_a_rho: float
     integral_rho: float
-    clamp_count: int
     bounded_ok: bool
     lipschitz_ok: bool
     moments_ok: bool
@@ -348,7 +347,6 @@ def verify_assumption(cd: CalibratedDensity) -> AssumptionReport:
         a_sup=cd.a_sup, lipschitz_estimate=cd.lipschitz_estimate,
         mean=cd.mean, variance=cd.variance,
         integral_a_rho=cd.integral_a_rho, integral_rho=cd.integral_rho,
-        clamp_count=0,
         bounded_ok=bounded_ok, lipschitz_ok=lipschitz_ok,
         moments_ok=moments_ok, integral_ok=integral_ok,
         passed=bounded_ok and lipschitz_ok and moments_ok and integral_ok,

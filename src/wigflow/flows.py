@@ -16,14 +16,15 @@ Fields come in two flavors: the deterministic frozen-semicircle stand-in
 (closed-form checks) and PathTraceEvaluator, which couples the flow to a
 matrix path through cached eigenvalue tables at the checkpoint times and
 the midpoints the integrator visits.  The tables are independent
-decompositions; SpectralLanes runs them on concurrent lanes, from the
-moment each checkpoint state exists.
+decompositions; SpectralLanes runs them on a standard-library thread
+pool from the moment each checkpoint state exists, while the calling
+thread drains the rest newest first and stops at the first error.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,16 +74,25 @@ def _basis(state, _prev, buf):
     vars(state)["resolvent"] = EigenResolvent._of(_unpack(state.hu, state.n, buf))
 
 
+def _run(job, state, prev, scratch):
+    """Run a lane job in the N x N buffer held in `scratch`: a pool thread's
+    dict, freed when the thread ends, or a drain's, freed when it returns
+    (one kept for the calling thread's life raised char-n1000 peak RSS 3%)."""
+    buf = scratch.get("buf")
+    if buf is None or buf.shape[0] != state.n:
+        buf = scratch["buf"] = np.empty((state.n, state.n))
+    job(state, prev, buf)
+
+
 class SpectralLanes:
     """Eigendecompositions of matrix states, run from the moment they are queued.
 
-    Used as a `with` block.  The first queued job starts lanes - 1 helper
-    threads, which work through the queue while the caller goes on (say,
-    integrating the path whose states it queues).  Leaving the block drains
-    the queue (`drain`): the calling thread joins as the last lane until it
-    is empty, then every helper is joined and the first job error, if any,
-    is raised.  An error inside the block drops the queue instead.  So one
-    lane starts no thread, and no thread outlives the block.
+    Used as a `with` block.  With lanes > 1, each queued job also goes to a
+    ThreadPoolExecutor of lanes - 1 threads, which work from the front of
+    the queue while the caller goes on (say, integrating the path whose
+    states it queues).  Leaving the block drains the queue (`drain`); an
+    error inside the block cancels it.  Either way the pool is shut down:
+    one lane starts no thread, and no thread outlives the block.
 
     Each result goes into a cache of its state (`eigenvalues`, `midpoints`,
     `resolvent`), so the lane count changes no value and a filled cache
@@ -92,12 +102,10 @@ class SpectralLanes:
     """
 
     def __init__(self, lanes: int = 1):
-        self._lanes = lanes
-        self._jobs = deque()
-        self._ready = threading.Condition()
-        self._closed = False
-        self._helpers = []
-        self._errors = []
+        self._pool = ThreadPoolExecutor(lanes - 1) if lanes > 1 else None
+        self._queue = []                    # (pool future or None, job)
+        self._buffers = threading.local()   # each pool thread's scratch
+        self._failed = threading.Event()    # a pool job raised
 
     def tables(self, prev, state) -> None:
         """Queue the trace tables read at `state`: the midpoint back to `prev`,
@@ -107,76 +115,53 @@ class SpectralLanes:
             jobs.append((_midpoint_table, state, prev))
         if "eigenvalues" not in vars(state):
             jobs.append((_checkpoint_table, state, None))
-        self._submit(jobs, first=False)
+        self._submit(jobs)
 
     def basis(self, state) -> None:
-        """Queue the eigh basis of `state` ahead of every queued table: the
-        longest job starts first."""
+        """Queue the eigh basis of `state`; queued after the state's tables,
+        the longest job is the first the drain runs."""
         if "resolvent" not in vars(state):
-            self._submit([(_basis, state, None)], first=True)
+            self._submit([(_basis, state, None)])
 
-    def _submit(self, jobs, first):
-        with self._ready:
-            if self._errors:
-                return
-            if first:
-                self._jobs.extendleft(reversed(jobs))
-            else:
-                self._jobs.extend(jobs)
-            self._ready.notify(len(jobs))
-        if jobs and not self._helpers:
-            self._helpers = [threading.Thread(target=self._lane, daemon=True)
-                             for _ in range(self._lanes - 1)]
-            for helper in self._helpers:
-                helper.start()
+    def _submit(self, jobs):
+        for job in jobs:
+            future = self._pool.submit(self._pooled, *job) if self._pool else None
+            self._queue.append((future, job))
 
-    def _lane(self):
-        buf = None   # one N x N matrix per lane, reused by every job
-        while True:
-            with self._ready:
-                while not self._jobs and not self._closed:
-                    self._ready.wait()
-                if not self._jobs:
-                    return
-                job, state, prev = self._jobs.popleft()
-            n = state.n
-            if buf is None or buf.shape[0] != n:
-                buf = np.empty((n, n))
-            try:
-                job(state, prev, buf)
-            except Exception as exc:
-                with self._ready:
-                    self._errors.append(exc)
-                    self._jobs.clear()
-
-    def _close(self, drop: bool) -> None:
-        with self._ready:
-            self._closed = True
-            if drop:
-                self._jobs.clear()
-            self._ready.notify_all()
-        if drop:
-            for helper in self._helpers:
-                helper.join()
+    def _pooled(self, *job):
+        if self._failed.is_set():
+            return
+        try:
+            _run(*job, vars(self._buffers))
+        except Exception:
+            self._failed.set()
+            raise
 
     def drain(self) -> None:
-        """Work as the last lane until the queue is empty, join the helpers,
-        and raise the first job error; leaving the block calls this."""
-        self._close(drop=False)
-        self._lane()
-        for helper in self._helpers:
-            helper.join()
-        if self._errors:
-            raise self._errors[0]
+        """Run, newest first, every queued job no pool thread has started, then
+        wait for the rest; leaving the block calls this.  The first job error,
+        on either side, ends the drain: jobs not started by then never start,
+        and the error is raised."""
+        scratch = {}
+        for future, job in reversed(self._queue):
+            if self._failed.is_set():
+                break
+            if future is None or future.cancel():
+                _run(*job, scratch)
+        for future, _job in self._queue:
+            if future is not None and not future.cancelled():
+                future.result()
 
     def __enter__(self) -> "SpectralLanes":
         return self
 
     def __exit__(self, exc_type, _exc, _tb):
-        if exc_type is None:
-            self.drain()
-        else:
-            self._close(drop=True)
+        try:
+            if exc_type is None:
+                self.drain()
+        finally:
+            if self._pool is not None:
+                self._pool.shutdown(wait=True, cancel_futures=True)
         return False
 
 
@@ -185,21 +170,20 @@ class PathTraceEvaluator:
 
     Eigenvalues of H(t) are tabulated at the ODE grid times (t = 0 plus the
     path checkpoints) and at interval midpoints, with the packed H(t)
-    interpolated linearly between checkpoints.  The tables are computed on
-    `lanes` SpectralLanes, unless the states' caches already hold them (a
-    run queues them while the path integrates), and keyed by time, so the
-    lane count changes no value.  Off-table times (reached only by
+    interpolated linearly between checkpoints.  The tables come from the
+    states' caches, which a run fills while the path integrates; missing
+    ones are computed here, on one lane.  Off-table times (reached only by
     stopping-time bisection) decompose on demand and join the cache.
     """
 
-    def __init__(self, path: MatrixPath, lanes: int = 1):
+    def __init__(self, path: MatrixPath):
         self._path = path
         states = path.states
         if len(states) < 2:
             raise ValueError("path must retain at least two checkpoints")
         self.n = states[0].n
         self.ode_times = np.concatenate([[0.0], [s.t for s in states]])
-        with SpectralLanes(lanes) as spectral:
+        with SpectralLanes() as spectral:
             for prev, s in zip([None] + states[:-1], states):
                 spectral.tables(prev, s)
         self._lam = {0.0: np.zeros(self.n)}

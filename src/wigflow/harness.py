@@ -474,7 +474,7 @@ def _characteristic_trial(cfg, n, trial, path):
     checkpoints.
     """
     dom = cfg.domain(n)
-    ev = PathTraceEvaluator(path, lanes=_LANES)
+    ev = PathTraceEvaluator(path)
     tg = ev.ode_times
     z_row = np.linspace(cfg.W[0], cfg.W[1], cfg.n_re) + 1j * cfg.char_im
 
@@ -659,7 +659,6 @@ class Report:
 
 
 _STATE = None   # (cd, cfg, plan, checkpoints) for the current trial map
-_LANES = 1      # spectral lanes of each trial in this process
 
 
 def spectral_lanes(processes: int) -> int:
@@ -668,25 +667,19 @@ def spectral_lanes(processes: int) -> int:
     return max(1, len(os.sched_getaffinity(0)) // processes)
 
 
-def _worker_init(state, lanes):
-    global _STATE, _LANES
-    _STATE, _LANES = state, lanes
-
-
 def _map_trials(worker, state, processes, tasks):
     """Run (n, trial) tasks, results in task order at any pool size.  Forked
-    workers inherit the one-thread BLAS pin that importing resolvent set."""
-    lanes = spectral_lanes(processes)
-    if processes <= 1:
-        _worker_init(state, lanes)
-        try:
+    workers inherit `_STATE`, set before the pool starts, and the one-thread
+    BLAS pin that importing resolvent set."""
+    global _STATE
+    _STATE = state
+    try:
+        if processes <= 1:
             return [worker(t) for t in tasks]
-        finally:
-            _worker_init(None, 1)
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=processes, initializer=_worker_init,
-                  initargs=(state, lanes)) as pool:
-        return list(pool.imap(worker, tasks, chunksize=1))
+        with multiprocessing.get_context("fork").Pool(processes) as pool:
+            return list(pool.imap(worker, tasks, chunksize=1))
+    finally:
+        _STATE = None
 
 
 def _failure(n, trial, exc):
@@ -697,17 +690,17 @@ def _failure(n, trial, exc):
 def _handoff(lanes, plan):
     """What evolve does with each state it keeps: queue the trace tables of
     the experiments that read them, between consecutive checkpoints of
-    their own view, and the t = 1 basis if an experiment reads it."""
+    their own view, then the t = 1 basis if read (the drain's first job)."""
     basis = any(exp.basis for exp, _times in plan)
     views = [[set(times.tolist()), None] for exp, times in plan if exp.tables]
 
     def keep(state):
-        if basis and state.t == 1.0:
-            lanes.basis(state)
         for view in views:   # [checkpoint times, the last state queued]
             if state.t in view[0]:
                 lanes.tables(view[1], state)
                 view[1] = state
+        if basis and state.t == 1.0:
+            lanes.basis(state)
     return keep
 
 
@@ -718,7 +711,7 @@ def _trial(task):
     n, trial = task
     cd, cfg, plan, checkpoints = _STATE
     try:
-        with SpectralLanes(_LANES) as lanes:
+        with SpectralLanes(spectral_lanes(cfg.processes)) as lanes:
             path = evolve(cd, cfg.path_config(n, trial, checkpoints=checkpoints),
                           on_checkpoint=_handoff(lanes, plan))
     except Exception as exc:

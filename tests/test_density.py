@@ -131,7 +131,7 @@ def test_verify_assumption_reports(gaussian, mixture):
     assert abs(rm.variance - 1.0) <= 1e-8
     d = rm.to_dict()
     assert set(d) >= {"a_sup", "lipschitz_estimate", "mean", "variance",
-                      "integral_a_rho", "clamp_count"}
+                      "integral_a_rho"}
 
 
 def test_reconstruction_round_trip_gaussian(gaussian):

@@ -9,6 +9,7 @@ consistency (grids, caching, determinism, decomposition algebra).
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -198,12 +199,47 @@ def test_spectral_lanes_raise_and_join(gauss_path, monkeypatch, lanes):
             raise np.linalg.LinAlgError("synthetic")
         return real(a, *args, **kwargs)
 
+    fresh = evolve(cd, path.config)   # the pool may have filled some caches
+    pairs = list(zip([None] + fresh.states[:-1], fresh.states))
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     with pytest.raises(np.linalg.LinAlgError, match="synthetic"):
         with SpectralLanes(lanes) as spectral:
             for prev, s in pairs:
                 spectral.tables(prev, s)
+            deadline = time.monotonic() + 60
+            while lanes > 1 and len(calls) < 5 and time.monotonic() < deadline:
+                time.sleep(1e-3)   # until the pool thread makes the failing call
     assert threading.active_count() == before
+    # the first error ends the drain, on the caller's side or the pool's
+    if lanes == 1:
+        assert len(calls) == 5
+    else:
+        assert len(calls) < 2 * len(pairs)
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_spectral_lanes_drain_order_and_threads(gauss_path, monkeypatch, lanes):
+    # every job runs once, on the calling thread or one of lanes - 1 pool
+    # threads; at one lane, the t = 1 basis queued after every table runs first
+    cd, path = gauss_path
+    fresh = evolve(cd, path.config)
+    log = []   # (routine, thread, copy of the matrix)
+    for name in ("eigh", "eigvalsh"):
+        def logged(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            log.append((_name, threading.get_ident(), np.array(a, copy=True)))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, logged)
+    before = threading.active_count()
+    with SpectralLanes(lanes) as spectral:
+        for prev, s in zip([None] + fresh.states[:-1], fresh.states):
+            spectral.tables(prev, s)
+        spectral.basis(fresh.states[-1])
+    assert threading.active_count() == before
+    assert len(log) == 2 * len(fresh.states) + 1
+    assert len({thread for _name, thread, _a in log}) <= lanes
+    if lanes == 1:
+        name, _thread, a = log[0]
+        assert name == "eigh" and np.array_equal(a, path.states[-1].H)
 
 
 def test_spectral_lanes_stress(gauss_path, monkeypatch):

@@ -460,10 +460,10 @@ def test_live_tables_equal_tables_built_afterwards(monkeypatch, lanes):
         live = evolve(cd, config, on_checkpoint=harness._handoff(spectral, plan))
     assert "resolvent" in vars(live.states[-1])
     monkeypatch.setattr(np.linalg, "eigvalsh", None)   # the live tables are complete
-    ev_live = PathTraceEvaluator(live.view(times), lanes)
+    ev_live = PathTraceEvaluator(live.view(times))
     monkeypatch.undo()
     after = evolve(cd, config)
-    ev_after = PathTraceEvaluator(after.view(times), lanes)
+    ev_after = PathTraceEvaluator(after.view(times))
     assert list(ev_live._lam) == list(ev_after._lam)
     for t, lam in ev_after._lam.items():
         assert np.array_equal(ev_live._lam[t], lam), t
