@@ -14,9 +14,9 @@ fixed-step RK4 driver.
 
 Fields come in two flavors: the deterministic frozen-semicircle stand-in
 (closed-form checks) and PathTraceEvaluator, which couples the flow to a
-matrix path through cached eigenvalue tables at the checkpoint times and
-the midpoints the integrator visits.  The tables are independent
-decompositions; SpectralLanes runs them on a standard-library thread
+matrix path through eigenvalue tables at the checkpoint times and the
+midpoints the integrator visits.  The tables are states' spectra, which
+martingale computes and caches; SpectralLanes schedules them on a thread
 pool from the moment each checkpoint state exists, while the calling
 thread drains the rest newest first and stops at the first error.
 """
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import SpectralDomain
-from .martingale import MatrixPath, _unpack
+from .martingale import MatrixPath, _spectrum, _unpack
 from .resolvent import EigenResolvent, t_op
 
 
@@ -61,27 +61,14 @@ class CharacteristicCurve:
         return complex(self.xi[-1])
 
 
-def _checkpoint_table(state, _prev, buf):
-    vars(state)["eigenvalues"] = np.linalg.eigvalsh(_unpack(state.hu, state.n, buf))
-
-
-def _midpoint_table(state, prev, buf):
-    t0, other = (0.0, None) if prev is None else (prev.t, prev.hu)
-    state.midpoints[t0] = np.linalg.eigvalsh(_unpack(state.hu, state.n, buf, other, 0.5))
-
-
-def _basis(state, _prev, buf):
-    vars(state)["resolvent"] = EigenResolvent._of(_unpack(state.hu, state.n, buf))
-
-
-def _run(job, state, prev, scratch):
-    """Run a lane job in the N x N buffer held in `scratch`: a pool thread's
+def _run(state, key, prev, scratch):
+    """Decompose in the N x N buffer held in `scratch`: a pool thread's
     dict, freed when the thread ends, or a drain's, freed when it returns
     (one kept for the calling thread's life raised char-n1000 peak RSS 3%)."""
     buf = scratch.get("buf")
     if buf is None or buf.shape[0] != state.n:
         buf = scratch["buf"] = np.empty((state.n, state.n))
-    job(state, prev, buf)
+    _spectrum(state, key, prev, buf)
 
 
 class SpectralLanes:
@@ -94,37 +81,33 @@ class SpectralLanes:
     error inside the block cancels it.  Either way the pool is shut down:
     one lane starts no thread, and no thread outlives the block.
 
-    Each result goes into a cache of its state (`eigenvalues`, `midpoints`,
-    `resolvent`), so the lane count changes no value and a filled cache
-    queues nothing.  Lane code calls numpy and private helpers only, and it
-    fills the caches itself: reading `state.eigenvalues` from a lane would
-    serialize the lanes (cached_property locks the whole class on 3.11).
+    A job is (state, key, prev): martingale._spectrum fills state.spectra[key],
+    so the lane count changes no value and a key already there queues
+    nothing.  Lane code calls numpy and private helpers only.
     """
 
-    def __init__(self, lanes: int = 1):
+    def __init__(self, lanes: int):
         self._pool = ThreadPoolExecutor(lanes - 1) if lanes > 1 else None
-        self._queue = []                    # (pool future or None, job)
+        self._queue = []                    # (pool future or None, (state, key, prev))
         self._buffers = threading.local()   # each pool thread's scratch
         self._failed = threading.Event()    # a pool job raised
 
     def tables(self, prev, state) -> None:
         """Queue the trace tables read at `state`: the midpoint back to `prev`,
         the previous checkpoint (None: t = 0), and the state itself."""
-        jobs = []
-        if (0.0 if prev is None else prev.t) not in state.midpoints:
-            jobs.append((_midpoint_table, state, prev))
-        if "eigenvalues" not in vars(state):
-            jobs.append((_checkpoint_table, state, None))
-        self._submit(jobs)
+        self._submit([(state, 0.0 if prev is None else prev.t, prev),
+                      (state, "eigvalsh", None)])
 
     def basis(self, state) -> None:
         """Queue the eigh basis of `state`; queued after the state's tables,
         the longest job is the first the drain runs."""
-        if "resolvent" not in vars(state):
-            self._submit([(_basis, state, None)])
+        self._submit([(state, "eigh", None)])
 
     def _submit(self, jobs):
         for job in jobs:
+            state, key, _prev = job
+            if key in state.spectra:
+                continue
             future = self._pool.submit(self._pooled, *job) if self._pool else None
             self._queue.append((future, job))
 
@@ -170,10 +153,10 @@ class PathTraceEvaluator:
 
     Eigenvalues of H(t) are tabulated at the ODE grid times (t = 0 plus the
     path checkpoints) and at interval midpoints, with the packed H(t)
-    interpolated linearly between checkpoints.  The tables come from the
-    states' caches, which a run fills while the path integrates; missing
-    ones are computed here, on one lane.  Off-table times (reached only by
-    stopping-time bisection) decompose on demand and join the cache.
+    interpolated linearly between checkpoints.  The tables are the states'
+    spectra, which a run fills while the path integrates; missing ones are
+    computed here.  Off-table times (reached only by stopping-time
+    bisection) decompose on demand and join the evaluator's tables.
     """
 
     def __init__(self, path: MatrixPath):
@@ -183,15 +166,11 @@ class PathTraceEvaluator:
             raise ValueError("path must retain at least two checkpoints")
         self.n = states[0].n
         self.ode_times = np.concatenate([[0.0], [s.t for s in states]])
-        with SpectralLanes() as spectral:
-            for prev, s in zip([None] + states[:-1], states):
-                spectral.tables(prev, s)
         self._lam = {0.0: np.zeros(self.n)}
-        prev_t = 0.0
-        for s in states:
-            self._lam[prev_t + 0.5 * (s.t - prev_t)] = s.midpoints[prev_t]
+        for prev, s in zip([None] + states[:-1], states):
+            t0 = 0.0 if prev is None else prev.t
+            self._lam[t0 + 0.5 * (s.t - t0)] = _spectrum(s, t0, prev)
             self._lam[s.t] = s.eigenvalues
-            prev_t = s.t
         self._keys = np.array(sorted(self._lam))
 
     def _eigenvalues(self, t: float) -> np.ndarray:
@@ -207,19 +186,13 @@ class PathTraceEvaluator:
         return self._insert(t)
 
     def _insert(self, t: float) -> np.ndarray:
-        states = self._path.states
-        cpt = self.ode_times[1:]
-        if not 0.0 <= t <= cpt[-1]:
+        times, states = self.ode_times, self._path.states
+        if not 0.0 <= t <= times[-1]:
             raise ValueError(f"time {t} outside the path range")
-        j = int(np.searchsorted(cpt, t))
-        if j == 0:
-            frac = t / cpt[0]
-            hu = frac * states[0].hu
-        else:
-            t0, t1 = cpt[j - 1], cpt[j]
-            frac = (t - t0) / (t1 - t0)
-            hu = (1.0 - frac) * states[j - 1].hu + frac * states[j].hu
-        lam = np.linalg.eigvalsh(_unpack(hu, self.n))
+        j = max(1, int(np.searchsorted(times, t)))   # t in [times[j-1], times[j]]
+        frac = (t - times[j - 1]) / (times[j] - times[j - 1])
+        other = None if j == 1 else states[j - 2].hu   # H(0) = 0
+        lam = np.linalg.eigvalsh(_unpack(states[j - 1].hu, self.n, other=other, frac=frac))
         self._lam[t] = lam
         self._keys = np.array(sorted(self._lam))
         return lam

@@ -10,8 +10,10 @@ so that H(1) is a Wigner matrix with entry law rho and entry variance 1/N.
 The instantaneous variance rates sigma_ij = a(sqrt(N/t) H_ij)/N form the
 profile that feeds the self-energy operator.  A state stores the upper
 triangle of H alone (4 MB at N = 1000) and rebuilds H and sigma from it on
-each access, at O(N^2) cost.  One kernel advances matrix paths, single steps
-and scalar paths, in cache-sized blocks of entries.
+each access, at O(N^2) cost.  Every eigendecomposition of a state comes
+from one routine, _spectrum, and is kept in one cache, state.spectra.  One
+kernel advances matrix paths, single steps and scalar paths, in cache-sized
+blocks of entries.
 
 The SDE is singular at t = 0 (the coefficient argument is 0/0), so paths
 are initialized at a small t_init > 0 by sampling the known marginal
@@ -23,7 +25,6 @@ the singular start.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -108,15 +109,16 @@ class PathConfig:
 class MatrixState:
     """H(t) as its upper triangle hu in np.triu_indices order, 4 MB at N = 1000.
     H (exactly symmetric) and sigma (the SDE step's profile, bit for bit) are
-    rebuilt per access; `eigenvalues` (eigvalsh) and `resolvent` (eigh) once.
-    midpoints[t0] holds the eigvalsh table of the state halfway back to the
-    checkpoint at t0 of the same path (t0 = 0: half of H)."""
+    rebuilt per access.  spectra holds each decomposition _spectrum made:
+    "eigvalsh" and "eigh" of H, and under an earlier checkpoint time t0 of
+    the same path, the eigvalsh table of the state halfway back to it
+    (t0 = 0: half of H)."""
 
     t: float
     hu: np.ndarray
     density: CalibratedDensity = field(repr=False, compare=False)
     clamp_count: int = 0
-    midpoints: dict = field(default_factory=dict, repr=False, compare=False)
+    spectra: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -130,14 +132,14 @@ class MatrixState:
     def sigma(self) -> np.ndarray:
         return sigma_profile(self.density, self)
 
-    @cached_property
+    @property
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.H)
+        return _spectrum(self, "eigvalsh")
 
-    @cached_property
+    @property
     def resolvent(self) -> EigenResolvent:
         # an O(N^2) basis: read it only where two readers share it
-        return EigenResolvent(self.H)
+        return _spectrum(self, "eigh")
 
 
 @dataclass
@@ -160,20 +162,32 @@ class MatrixPath:
         return MatrixPath(config=config, states=states, total_clamps=self.total_clamps)
 
 
-def _unpack(hu, n, out=None, other=None, scale=1.0):
-    """The symmetric n x n matrix whose upper triangle is scale * (hu + other),
-    row by row, written into out if given; other is optional."""
+def _unpack(hu, n, out=None, other=None, frac=1.0):
+    """The symmetric n x n matrix whose upper triangle is frac * hu +
+    (1 - frac) * other (other optional), row by row, written into out if
+    given: the one interpolation between packed triangles."""
     M = np.empty((n, n)) if out is None else out
     start = 0   # slices: 4x faster than np.triu_indices at N = 1000
     for i in range(n):
         row, end = M[i, i:], start + n - i
-        if other is None:
-            row[...] = hu[start:end]
-        else:
-            np.add(other[start:end], hu[start:end], out=row)
-        row *= scale
+        np.multiply(hu[start:end], frac, out=row)
+        if other is not None:
+            row += (1.0 - frac) * other[start:end]
         M[i:, i], start = row, end
     return M
+
+
+def _spectrum(state, key, prev=None, buf=None):
+    """state.spectra[key], decomposed on the first request: "eigvalsh" or
+    "eigh" (an EigenResolvent) of H, or under an earlier checkpoint time,
+    the eigvalsh table of the state halfway back to `prev` (None: t = 0).
+    H is unpacked into buf if given.  Private, so the spectral lanes may
+    call it off the calling thread (no public function runs there)."""
+    if key not in state.spectra:
+        frac = 1.0 if key in ("eigvalsh", "eigh") else 0.5
+        H = _unpack(state.hu, state.n, buf, None if prev is None else prev.hu, frac)
+        state.spectra[key] = EigenResolvent._of(H) if key == "eigh" else np.linalg.eigvalsh(H)
+    return state.spectra[key]
 
 
 # Entries per kernel block: the step's scratch (z and the four coefficient

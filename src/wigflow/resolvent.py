@@ -82,6 +82,9 @@ def pin_blas() -> str:
         BLAS_PIN = "threadpoolctl"
     except ImportError:
         BLAS_PIN = "ctypes"
+        # one library per bundled copy: one not found would keep its default count
+        if [sym for *_, sym in libs] != [sym for *_, sym in _OPENBLAS]:
+            raise RuntimeError(f"BLAS not pinned by ctypes: found {[name for name, *_ in libs]}")
         for _name, lib, sym in libs:
             getattr(lib, sym.format("set"))(1)
     threads = blas_threads()

@@ -34,7 +34,3 @@ def path_stream(base_seed: int, n: int, trial: int) -> np.random.Generator:
     # keyed by matrix size as well, so trials at different N draw from
     # unrelated bit streams
     return stream(base_seed, PURPOSE_PATH, n, trial)
-
-
-def direct_stream(base_seed: int, trial: int) -> np.random.Generator:
-    return stream(base_seed, PURPOSE_DIRECT, trial)

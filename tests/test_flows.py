@@ -7,6 +7,9 @@ forms are the oracles here; path-coupled runs are checked for internal
 consistency (grids, caching, determinism, decomposition algebra).
 """
 
+import functools
+import importlib
+import inspect
 import sys
 import threading
 import time
@@ -154,10 +157,16 @@ def test_evaluator_matches_checkpoints(gauss_path):
         assert abs(ev(s.t, z) - direct) <= 1e-10
 
 
-def test_evaluator_midpoints_and_inserts(gauss_path):
+def test_evaluator_midpoints_and_inserts(gauss_path, monkeypatch):
     from scipy.linalg import eigvalsh
     _, path = gauss_path
     ev = PathTraceEvaluator(path)
+    decomposed, real = [], np.linalg.eigvalsh
+
+    def logged(a, *args, **kwargs):
+        decomposed.append(np.array(a, copy=True))
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", logged)
     z = -0.2 + 0.5j
     t0 = path.times[0]
     mid = 0.0 + 0.5 * (t0 - 0.0)
@@ -173,6 +182,11 @@ def test_evaluator_midpoints_and_inserts(gauss_path):
     n_keys = len(ev._lam)
     assert abs(first - np.mean(1.0 / (lam - z))) <= 1e-12
     assert ev(t, z) == first and len(ev._lam) == n_keys
+    # the matrix decomposed is the interpolation itself, bit for bit
+    assert len(decomposed) == 1 and np.array_equal(decomposed[0], H)
+    t = 0.3 * t0   # before the first checkpoint: H(0) = 0
+    ev(t, z)
+    assert len(decomposed) == 2 and np.array_equal(decomposed[1], (t / t0) * path.states[0].H)
     with pytest.raises(ValueError):
         ev(1.5, z)
 
@@ -273,10 +287,68 @@ def test_spectral_lanes_stress(gauss_path, monkeypatch):
     ev = PathTraceEvaluator(path)
     for prev, s in zip([None] + fresh.states[:-1], fresh.states):
         t0 = 0.0 if prev is None else prev.t
-        assert np.array_equal(s.midpoints[t0], ev._lam[t0 + 0.5 * (s.t - t0)])
-        assert np.array_equal(vars(s)["eigenvalues"], ev._lam[s.t])
-    assert np.array_equal(vars(fresh.states[-1])["resolvent"]._V,
+        assert np.array_equal(s.spectra[t0], ev._lam[t0 + 0.5 * (s.t - t0)])
+        assert np.array_equal(s.spectra["eigvalsh"], ev._lam[s.t])
+    assert np.array_equal(fresh.states[-1].spectra["eigh"]._V,
                           path.states[-1].resolvent._V)
+
+
+def test_lane_jobs_call_no_public_function(gauss_path, monkeypatch):
+    # a traced run keeps one span stack, so lane threads may call numpy and
+    # private helpers only.  Wrap what the tracer wraps (public functions, and
+    # public methods, __init__ and __call__ of classes) and record every call
+    # made off the main thread.
+    from test_harness import _mixture_all_config
+    off_main = []
+
+    def recorded(fn, name):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                off_main.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [importlib.import_module(f"wigflow.{name}") for name in
+               ("density", "streams", "martingale", "resolvent", "domains", "flows", "harness")]
+    wrapped = {}   # id(original function) -> wrapper
+    for module in modules:
+        for name, obj in list(vars(module).items()):
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                wrapped[id(obj)] = recorded(obj, f"{module.__name__}.{name}")
+            elif inspect.isclass(obj) and not issubclass(obj, BaseException):
+                for attr, val in list(vars(obj).items()):
+                    kind = type(val) if isinstance(val, (classmethod, staticmethod)) else None
+                    fn = val.__func__ if kind else val
+                    if (inspect.isfunction(fn) and fn.__code__.co_filename == module.__file__
+                            and (not attr.startswith("_") or attr in ("__init__", "__call__"))):
+                        w = recorded(fn, f"{module.__name__}.{name}.{attr}")
+                        monkeypatch.setattr(obj, attr, kind(w) if kind else w)
+    for module in modules:   # every module's reference to a wrapped function
+        for name, obj in list(vars(module).items()):
+            if id(obj) in wrapped:
+                monkeypatch.setattr(module, name, wrapped[id(obj)])
+            elif isinstance(obj, dict):
+                for key, val in obj.items():
+                    if id(val) in wrapped:
+                        monkeypatch.setitem(obj, key, wrapped[id(val)])
+    harness = modules[-1]
+    monkeypatch.setattr(harness, "spectral_lanes", lambda processes: 3)
+    reports = harness.run_experiments(_mixture_all_config(), harness.EXPERIMENT_NAMES)
+    assert all(not rep.failures for rep in reports.values())
+    # the pool thread runs every kind of job: each future is awaited in the block
+    cd, path = gauss_path
+    fresh = evolve(cd, path.config)
+    with SpectralLanes(2) as spectral:
+        for prev, s in zip([None] + fresh.states[:-1], fresh.states):
+            spectral.tables(prev, s)
+        spectral.basis(fresh.states[-1])
+        assert len(spectral._queue) == 2 * len(fresh.states) + 1
+        for future, _job in spectral._queue:
+            future.result()
+    assert off_main == []
 
 
 def test_stopped_process_on_path(gauss_path):

@@ -458,7 +458,7 @@ def test_live_tables_equal_tables_built_afterwards(monkeypatch, lanes):
     config = cfg.path_config(48, 0, checkpoints=union)
     with SpectralLanes(lanes) as spectral:
         live = evolve(cd, config, on_checkpoint=harness._handoff(spectral, plan))
-    assert "resolvent" in vars(live.states[-1])
+    assert "eigh" in live.states[-1].spectra
     monkeypatch.setattr(np.linalg, "eigvalsh", None)   # the live tables are complete
     ev_live = PathTraceEvaluator(live.view(times))
     monkeypatch.undo()
@@ -468,7 +468,7 @@ def test_live_tables_equal_tables_built_afterwards(monkeypatch, lanes):
     for t, lam in ev_after._lam.items():
         assert np.array_equal(ev_live._lam[t], lam), t
     # the union checkpoint outside the view got nothing, the t = 1 basis is eigh's
-    assert [vars(s).keys() & {"eigenvalues", "resolvent"} for s in live.states
+    assert [s.spectra.keys() & {"eigvalsh", "eigh"} for s in live.states
             if s.t not in set(times)] == [set()]
     basis, direct = live.states[-1].resolvent, EigenResolvent(after.states[-1].H)
     assert np.array_equal(basis.eigenvalues, direct.eigenvalues)

@@ -126,6 +126,28 @@ def test_evolve_reaches_one_with_checkpoints(mixture):
         assert sum(a.nbytes for a in arrays) == cfg.n * (cfg.n + 1) // 2 * 8
 
 
+def test_spectra_once_and_bitwise(mixture):
+    # every spectrum of a state comes from one routine into one cache: the
+    # bits of a direct decomposition, and the same object on a second read
+    from wigflow.martingale import _spectrum
+    from wigflow.resolvent import EigenResolvent
+    path = evolve(mixture, PathConfig(n=30, base_seed=19,
+                                      schedule=geometric_uniform_schedule(1e-3, 60)))
+    for prev, st in zip([None] + path.states[:-1], path.states):
+        assert st.spectra == {}
+        t0 = 0.0 if prev is None else prev.t
+        mid = 0.5 * st.H if prev is None else 0.5 * (prev.H + st.H)
+        assert np.array_equal(_spectrum(st, t0, prev), np.linalg.eigvalsh(mid))
+        assert np.array_equal(st.eigenvalues, np.linalg.eigvalsh(st.H))
+        direct = EigenResolvent(st.H)
+        assert np.array_equal(st.resolvent.eigenvalues, direct.eigenvalues)
+        assert np.array_equal(st.resolvent._V, direct._V)
+        assert list(st.spectra) == [t0, "eigvalsh", "eigh"]
+        assert _spectrum(st, t0, prev) is st.spectra[t0]
+        assert st.eigenvalues is st.spectra["eigvalsh"]
+        assert st.resolvent is st.spectra["eigh"]
+
+
 def test_step_replays_evolve(mixture):
     # init_exact and step run the kernel evolve runs: same draws, same bits
     sched = geometric_uniform_schedule(1e-3, 20)
@@ -220,6 +242,6 @@ def test_scalar_second_moment_tracks_time(mixture):
 def test_scalar_marginal_vs_direct_sampler(mixture):
     grid = geometric_uniform_schedule(1e-3, 400)
     h = evolve_scalar(mixture, grid, streams.stream(15, 0), n_paths=8000)
-    direct = sample_iid(mixture, 8000, streams.direct_stream(15, 0))
+    direct = sample_iid(mixture, 8000, streams.stream(15, streams.PURPOSE_DIRECT, 0))
     res = ks_2samp(h[-1], direct)
     assert res.pvalue > 0.01

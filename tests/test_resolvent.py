@@ -1,5 +1,6 @@
 """Resolvent algebra: exact identities, operators, concentration inputs."""
 
+import re
 import sys
 import types
 
@@ -244,6 +245,7 @@ def test_self_consistency_wigner_small():
 
 def test_blas_pin_fails_loudly(monkeypatch):
     from wigflow import resolvent as module
+    found = module._openblas_libraries()
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)
     monkeypatch.setattr(module, "BLAS_PIN", module.BLAS_PIN)
     # no library to pin
@@ -254,6 +256,17 @@ def test_blas_pin_fails_loudly(monkeypatch):
     fake = types.SimpleNamespace(set=lambda k: None, get=lambda: 2)
     monkeypatch.setattr(module, "_openblas_libraries", lambda: [("libfake.so", fake, "{}")])
     with pytest.raises(RuntimeError, match="libfake.so"):
+        module.pin_blas()
+    # one bundled copy alone: the other would keep its default thread count
+    monkeypatch.setattr(module, "_openblas_libraries", lambda: found[:1])
+    with pytest.raises(RuntimeError, match=re.escape(str([found[0][0]]))):
+        module.pin_blas()
+    # every copy found, one reading back 2 after the pin
+    fakes = [(f"libfake{i}.so", types.SimpleNamespace(
+        **{sym.format("set"): lambda k: None, sym.format("get"): lambda i=i: 1 + i}), sym)
+        for i, (_module, _pattern, sym) in enumerate(module._OPENBLAS)]
+    monkeypatch.setattr(module, "_openblas_libraries", lambda: fakes)
+    with pytest.raises(RuntimeError, match="'libfake1.so': 2"):
         module.pin_blas()
 
 
