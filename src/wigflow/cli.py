@@ -73,9 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=sorted(EXPERIMENT_NAMES) + ["all"],
                      help="override the config's experiment list")
     run.add_argument("--threads", type=int, default=None,
-                     help="worker processes for trials (default: available "
-                     "cores); each gets cores / threads spectral lanes, and "
-                     "BLAS always runs at one thread")
+                     help="worker processes for trials (default: the cores "
+                     "this process may run on); each gets cores / threads "
+                     "spectral lanes, and BLAS always runs at one thread")
     run.add_argument("--seed", type=int, default=None,
                      help="override the config's base seed")
 
@@ -178,7 +178,7 @@ def cmd_run(args) -> int:
     try:
         cfg = ExperimentConfig.from_sections(doc)
         overrides = {"threads": args.threads if args.threads is not None
-                     else os.cpu_count() or 1}
+                     else len(os.sched_getaffinity(0))}
         if args.seed is not None:
             overrides["base_seed"] = args.seed
         cfg = replace(cfg, **overrides)

@@ -18,7 +18,8 @@ matrix path through eigenvalue tables at the checkpoint times and the
 midpoints the integrator visits.  The tables are states' spectra, which
 martingale computes and caches; SpectralLanes schedules them on a thread
 pool from the moment each checkpoint state exists, while the calling
-thread drains the rest newest first and stops at the first error.
+thread drains the rest newest first and stops at the first error.  The
+same pool draws the path's SDE normals ahead while it integrates.
 """
 
 from __future__ import annotations
@@ -83,11 +84,13 @@ class SpectralLanes:
 
     A job is (state, key, prev): martingale._spectrum fills state.spectra[key],
     so the lane count changes no value and a key already there queues
-    nothing.  Lane code calls numpy and private helpers only.
+    nothing.  Lane code calls numpy and private helpers only.  `pool` (None
+    at one lane) also takes other work while the block runs: evolve draws
+    the SDE normals ahead on it, behind the spectral jobs queued so far.
     """
 
     def __init__(self, lanes: int):
-        self._pool = ThreadPoolExecutor(lanes - 1) if lanes > 1 else None
+        self.pool = ThreadPoolExecutor(lanes - 1) if lanes > 1 else None
         self._queue = []                    # (pool future or None, (state, key, prev))
         self._buffers = threading.local()   # each pool thread's scratch
         self._failed = threading.Event()    # a pool job raised
@@ -108,7 +111,7 @@ class SpectralLanes:
             state, key, _prev = job
             if key in state.spectra:
                 continue
-            future = self._pool.submit(self._pooled, *job) if self._pool else None
+            future = self.pool.submit(self._pooled, *job) if self.pool else None
             self._queue.append((future, job))
 
     def _pooled(self, *job):
@@ -143,8 +146,8 @@ class SpectralLanes:
             if exc_type is None:
                 self.drain()
         finally:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True, cancel_futures=True)
+            if self.pool is not None:
+                self.pool.shutdown(wait=True, cancel_futures=True)
         return False
 
 

@@ -17,7 +17,8 @@ the selected experiments read, and gives every experiment a view holding
 only its own checkpoint states.  Each kept state goes to the trial's
 spectral lanes as soon as it exists: the trace tables of the experiments
 that read them, and the t = 1 eigh basis.  The lanes work while the path
-integrates and are drained before any experiment reads the path.  A
+integrates, and also draw its SDE normals ahead; they are drained before
+any experiment reads the path.  A
 failure to evolve or to decompose fails the trial for every experiment, a
 failure to read it for that experiment only.  The surviving results of
 each experiment are reduced into one Report.
@@ -705,15 +706,16 @@ def _handoff(lanes, plan):
 
 
 def _trial(task):
-    """Evolve one path, its spectral work queued on the lanes as it goes, and
-    hand each experiment a view of its checkpoints.  Returns the path's
+    """Evolve one path, its spectral work queued on the lanes as it goes and
+    its normals drawn ahead there, and hand each experiment a view of its
+    checkpoints.  Returns the path's
     clamp count (0 if it failed) and one result or failure per experiment."""
     n, trial = task
     cd, cfg, plan, checkpoints = _STATE
     try:
         with SpectralLanes(spectral_lanes(cfg.processes)) as lanes:
             path = evolve(cd, cfg.path_config(n, trial, checkpoints=checkpoints),
-                          on_checkpoint=_handoff(lanes, plan))
+                          on_checkpoint=_handoff(lanes, plan), pool=lanes.pool)
     except Exception as exc:
         return 0, [_failure(n, trial, exc)] * len(plan)
     out = []

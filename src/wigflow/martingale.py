@@ -13,7 +13,10 @@ triangle of H alone (4 MB at N = 1000) and rebuilds H and sigma from it on
 each access, at O(N^2) cost.  Every eigendecomposition of a state comes
 from one routine, _spectrum, and is kept in one cache, state.spectra.  One
 kernel advances matrix paths, single steps and scalar paths, in cache-sized
-blocks of entries.
+blocks of entries.  Its Philox normals do not depend on the state, so when
+evolve is given a thread pool (a trial's spectral lanes), the pool draws the
+next chunk of whole steps' normals while the caller applies the current one;
+the draws keep their order, so the bits are those of the serial kernel.
 
 The SDE is singular at t = 0 (the coefficient argument is 0/0), so paths
 are initialized at a small t_init > 0 by sampling the known marginal
@@ -24,7 +27,9 @@ the singular start.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from math import isqrt
 
 import numpy as np
@@ -193,14 +198,18 @@ def _spectrum(state, key, prev=None, buf=None):
 # Entries per kernel block: the step's scratch (z and the four coefficient
 # work rows, 1.3 MB) stays in cache, whatever N is.
 _BLOCK = 32768
+# Normals per chunk drawn ahead, rounded up to whole steps: one handoff per
+# step cost evolve about 30% more CPU at N = 128/256, 2^18 (2 MB) did not.
+_CHUNK = 1 << 18
 
 
 class _Kernel:
     """The entry SDE, advanced in place: the one copy of its update.  hu holds
     independent entries at scale n^{-1/2} (the upper triangle of H, or n_paths
     scalar paths at n = 1) at time t, su = a(sqrt(n/t) hu)/n their coefficient.
-    advance runs block by block; Philox normals drawn per block are the same
-    bits as one draw of the whole vector."""
+    advance runs block by block, on a step's normals drawn ahead or on normals
+    it draws per block; Philox normals drawn per block, per step or per chunk
+    of steps are the same bits as one draw of them all."""
 
     def __init__(self, cd: CalibratedDensity, n: int, t: float, hu: np.ndarray, gen=None):
         self.cd, self.n, self.hu, self.gen = cd, n, hu, gen
@@ -214,16 +223,19 @@ class _Kernel:
         x = sample_iid(cd, n * (n + 1) // 2 if size is None else size, gen)
         return cls(cd, n, t, np.sqrt(t / n) * x, gen)
 
-    def advance(self, dt: float | None, t_new: float) -> None:
+    def advance(self, dt: float | None, t_new: float, z=None) -> None:
         """Euler-Maruyama, su <- sqrt(su dt) and hu += su z (no step when dt is
-        None), then su <- a(sqrt(n/t_new) hu)/n, counting the entries a clamped."""
+        None), then su <- a(sqrt(n/t_new) hu)/n, counting the entries a clamped.
+        z holds the step's normals, or is None: drawn from gen per block."""
         self.t, self.clamps = float(t_new), 0
         scale = np.sqrt(self.n / t_new)
         for lo in range(0, self.hu.size, _BLOCK):
             hu, su = self.hu[lo:lo + _BLOCK], self.su[lo:lo + _BLOCK]
             if dt is not None:
                 np.sqrt(np.multiply(su, dt, out=su), out=su)
-                hu += np.multiply(su, self.gen.standard_normal(out=self.z[:su.size]), out=su)
+                zb = (self.gen.standard_normal(out=self.z[:su.size]) if z is None
+                      else z[lo:lo + _BLOCK])
+                hu += np.multiply(su, zb, out=su)
             x = np.multiply(hu, scale, out=su)
             self.clamps += self.cd.a_clamped(x, out=x, work=self.work[:, :su.size])[1]
             su /= self.n
@@ -259,9 +271,48 @@ def step(cd: CalibratedDensity, state: MatrixState, dt: float,
     return kernel.state()
 
 
+def _normals(gen, size, steps, pool):
+    """Each step's `size` normals from gen, in step order, for _Kernel.advance.
+
+    Without a pool, None per step: the kernel draws them per block itself.
+    With one, steps come in chunks of at least _CHUNK normals, double
+    buffered.  Chunk c + 1 goes to the pool only once chunk c is drawn, so one
+    draw at most is outstanding and the Philox stream is read in order.  The
+    caller takes a chunk the pool has not started (future.cancel()) and draws
+    it itself, otherwise waits for it.  The pool draws through a Generator of
+    the same bit generator, built here: no method of gen runs off this thread.
+    Closing the generator waits out a draw still running.
+    """
+    if pool is None:
+        yield from repeat(None, steps)
+        return
+    per = -(-_CHUNK // size)   # whole steps per chunk
+    bufs = [np.empty((min(per, steps), size)) for _ in range(2)]
+    chunks = -(-steps // per)
+
+    def chunk(c):
+        return bufs[c % 2][:min(per, steps - c * per)]
+
+    ahead = np.random.Generator(gen.bit_generator)
+    pending = None   # the draw of the chunk the caller reads next
+    try:
+        for c in range(chunks):
+            if pending is None or pending.cancel():
+                gen.standard_normal(out=chunk(c))
+            else:
+                pending.result()
+            pending = None
+            if c + 1 < chunks:
+                pending = pool.submit(ahead.standard_normal, out=chunk(c + 1))
+            yield from chunk(c)
+    finally:
+        if pending is not None and not pending.cancel():
+            pending.exception()
+
+
 def evolve(cd: CalibratedDensity, config: PathConfig,
            gen: np.random.Generator | None = None,
-           on_checkpoint=None) -> MatrixPath:
+           on_checkpoint=None, pool=None) -> MatrixPath:
     """Integrate the matrix SDE over the configured schedule.
 
     Only H at config.checkpoints is kept (sigma is recomputed from
@@ -270,6 +321,9 @@ def evolve(cd: CalibratedDensity, config: PathConfig,
     is the same bit for bit whichever other checkpoints are kept.
     on_checkpoint(state), if given, receives each kept state as soon as it
     exists, while the integration goes on; its hu is never written again.
+    pool, a concurrent.futures executor if given, draws the normals of the
+    next chunk of steps while this thread applies the current chunk; the
+    states are the same bit for bit, and no draw outlives the call.
     """
     if gen is None:
         gen = streams.path_stream(config.base_seed, config.n, config.trial)
@@ -278,14 +332,15 @@ def evolve(cd: CalibratedDensity, config: PathConfig,
     kernel = _Kernel.exact(cd, config.n, config.t_init, gen)
     total_clamps = kernel.clamps
     states = []
-    for k in range(len(sched)):
-        if k:
-            kernel.advance(sched[k] - sched[k - 1], sched[k])
-            total_clamps += kernel.clamps
-        if is_checkpoint[k]:
-            states.append(kernel.state())
-            if on_checkpoint is not None:
-                on_checkpoint(states[-1])
+    with closing(_normals(gen, kernel.hu.size, len(sched) - 1, pool)) as normals:
+        for k in range(len(sched)):
+            if k:
+                kernel.advance(sched[k] - sched[k - 1], sched[k], next(normals))
+                total_clamps += kernel.clamps
+            if is_checkpoint[k]:
+                states.append(kernel.state())
+                if on_checkpoint is not None:
+                    on_checkpoint(states[-1])
     return MatrixPath(config=config, states=states, total_clamps=total_clamps)
 
 

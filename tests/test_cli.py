@@ -1,6 +1,9 @@
 """Command-line shell: exit codes, manifests, fault injection."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -258,6 +261,25 @@ def test_run_all_manifest_and_determinism(tmp_path, capsys):
                   "characteristics-64-11.csv", "marginal-64-11.csv",
                   "entrywise-64-11.csv"):
         assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes()
+
+
+def test_run_threads_default_to_affinity(tmp_path):
+    # a process limited to one CPU starts one trial process by default,
+    # however many cores the host has
+    out = tmp_path / "out"
+    cfgp = write_config(tmp_path, smoke_doc(out))
+    child = ("import os, sys\n"
+             "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+             "from wigflow.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src)] + sys.path)}
+    res = subprocess.run([sys.executable, "-c", child, "run", "--config", str(cfgp)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["threads"] == 1
+    assert manifest["environment"]["affinity"] == 1
 
 
 def test_run_single_selector_and_seed_override(tmp_path):

@@ -295,9 +295,10 @@ def test_spectral_lanes_stress(gauss_path, monkeypatch):
 
 def test_lane_jobs_call_no_public_function(gauss_path, monkeypatch):
     # a traced run keeps one span stack, so lane threads may call numpy and
-    # private helpers only.  Wrap what the tracer wraps (public functions, and
-    # public methods, __init__ and __call__ of classes) and record every call
-    # made off the main thread.
+    # private helpers only.  Wrap what the tracer wraps (public functions,
+    # public methods, __init__ and __call__ of classes, and the methods of
+    # the generators `streams` returns) and record every call made off the
+    # main thread.
     from test_harness import _mixture_all_config
     off_main = []
 
@@ -309,6 +310,22 @@ def test_lane_jobs_call_no_public_function(gauss_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    class Generator:
+        def __init__(self, gen):
+            self._gen = gen
+
+        def __getattr__(self, name):
+            attr = getattr(self._gen, name)
+            if name.startswith("_") or not callable(attr):
+                return attr
+            return recorded(attr, f"wigflow.streams.Generator.{name}")
+
+    def proxied(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            return Generator(fn(*args, **kwargs))
+        return wrapper
+
     modules = [importlib.import_module(f"wigflow.{name}") for name in
                ("density", "streams", "martingale", "resolvent", "domains", "flows", "harness")]
     wrapped = {}   # id(original function) -> wrapper
@@ -317,7 +334,8 @@ def test_lane_jobs_call_no_public_function(gauss_path, monkeypatch):
             if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
                 continue
             if inspect.isfunction(obj):
-                wrapped[id(obj)] = recorded(obj, f"{module.__name__}.{name}")
+                fn = proxied(obj) if module.__name__ == "wigflow.streams" else obj
+                wrapped[id(obj)] = recorded(fn, f"{module.__name__}.{name}")
             elif inspect.isclass(obj) and not issubclass(obj, BaseException):
                 for attr, val in list(vars(obj).items()):
                     kind = type(val) if isinstance(val, (classmethod, staticmethod)) else None
@@ -338,10 +356,20 @@ def test_lane_jobs_call_no_public_function(gauss_path, monkeypatch):
     monkeypatch.setattr(harness, "spectral_lanes", lambda processes: 3)
     reports = harness.run_experiments(_mixture_all_config(), harness.EXPERIMENT_NAMES)
     assert all(not rep.failures for rep in reports.values())
-    # the pool thread runs every kind of job: each future is awaited in the block
+    # the pool thread runs every kind of job: each future is awaited in the
+    # block, and each draw of normals ahead before evolve goes on
     cd, path = gauss_path
-    fresh = evolve(cd, path.config)
     with SpectralLanes(2) as spectral:
+        draws = []
+
+        class Awaited:
+            def submit(self, *args, **kwargs):
+                draws.append(spectral.pool.submit(*args, **kwargs))
+                draws[-1].result()
+                return draws[-1]
+
+        fresh = evolve(cd, path.config, pool=Awaited())
+        assert len(draws) == 1   # 200 steps of 1,830 normals: 2 chunks
         for prev, s in zip([None] + fresh.states[:-1], fresh.states):
             spectral.tables(prev, s)
         spectral.basis(fresh.states[-1])
@@ -349,6 +377,7 @@ def test_lane_jobs_call_no_public_function(gauss_path, monkeypatch):
         for future, _job in spectral._queue:
             future.result()
     assert off_main == []
+    assert all(np.array_equal(a.hu, b.hu) for a, b in zip(fresh.states, path.states))
 
 
 def test_stopped_process_on_path(gauss_path):

@@ -482,7 +482,7 @@ def test_failing_trials_leave_no_thread(monkeypatch, threads):
     # every lane thread is joined before run_experiments returns
     real_evolve, real_eigvalsh = harness.evolve, np.linalg.eigvalsh
 
-    def failing_midway(cd, pc, gen=None, on_checkpoint=None):
+    def failing_midway(cd, pc, gen=None, on_checkpoint=None, pool=None):
         kept = []
 
         def keep(state):
@@ -490,7 +490,7 @@ def test_failing_trials_leave_no_thread(monkeypatch, threads):
             kept.append(state)
             if pc.n == 64 and pc.trial == 1 and len(kept) == 4:
                 raise FloatingPointError("synthetic mid-path loss")
-        return real_evolve(cd, pc, gen, keep)
+        return real_evolve(cd, pc, gen, keep, pool)
 
     def eigvalsh(a, *args, **kwargs):
         if a.shape[0] == 48:

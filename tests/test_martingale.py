@@ -1,5 +1,9 @@
 """Entry martingale dynamics: marginals, moments, symmetry, schedules."""
 
+import threading
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.stats import kstest, ks_2samp
@@ -164,6 +168,104 @@ def test_step_replays_evolve(mixture):
         assert np.array_equal(st.H, ref.H)
         assert np.array_equal(st.sigma, ref.sigma)
         assert st.clamp_count == ref.clamp_count
+
+
+class _Unstarted:
+    """An executor whose jobs never start: the caller takes every chunk back."""
+
+    def submit(self, fn, *args, **kwargs):
+        return Future()
+
+
+class _Eager:
+    """An executor that runs each job on a thread of its own before submit
+    returns: the pool draws every chunk but the first."""
+
+    def __init__(self):
+        self.jobs = 0
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        worker = threading.Thread(target=lambda: future.set_result(fn(*args, **kwargs)))
+        worker.start()
+        worker.join(timeout=60)
+        self.jobs += 1
+        return future
+
+
+def _philox(gen):
+    s = gen.bit_generator.state
+    return (s["state"]["counter"].tolist(), s["state"]["key"].tolist(),
+            s["buffer"].tolist(), s["buffer_pos"], s["has_uint32"], s["uinteger"])
+
+
+@pytest.mark.parametrize("pool", ["unstarted", "eager", "idle", "busy"])
+@pytest.mark.parametrize("n, n_steps", [(128, 100), (724, 12)])
+def test_evolve_draws_ahead_bitwise(mixture, n, n_steps, pool):
+    # N = 128: 32 steps a chunk, 100 steps (4 chunks, the last one short);
+    # N = 724: 262,450 entries, one step a chunk.  Whoever draws a chunk,
+    # the states, the clamp counts and the stream left behind are the serial
+    # kernel's, bit for bit
+    cfg = PathConfig(n=n, base_seed=31, schedule=geometric_uniform_schedule(1e-3, n_steps))
+    cfg.checkpoints = cfg.schedule[::3]
+    serial_gen = streams.path_stream(31, n, 0)
+    serial = evolve(mixture, cfg, serial_gen)
+    gen = streams.path_stream(31, n, 0)
+    if pool == "unstarted":
+        path = evolve(mixture, cfg, gen, pool=_Unstarted())
+    elif pool == "eager":
+        eager = _Eager()
+        path = evolve(mixture, cfg, gen, pool=eager)
+        assert eager.jobs == (3 if n == 128 else n_steps - 1)
+    else:
+        with ThreadPoolExecutor(1) as executor:
+            if pool == "busy":   # chunks queue behind a sleeping job
+                executor.submit(time.sleep, 0.05)
+            path = evolve(mixture, cfg, gen, pool=executor)
+    assert len(path.states) == len(serial.states)
+    for st, ref in zip(path.states, serial.states):
+        assert st.t == ref.t
+        assert np.array_equal(st.hu, ref.hu)
+        assert st.clamp_count == ref.clamp_count
+    assert path.total_clamps == serial.total_clamps
+    assert _philox(gen) == _philox(serial_gen)
+
+
+def test_evolve_error_leaves_no_draw_running(mixture):
+    # a checkpoint hook raising mid-path: once evolve raises, no draw runs on
+    # the lanes' pool (the stream stays put), and the block joins its thread
+    from wigflow.flows import SpectralLanes
+    cfg = PathConfig(n=724, base_seed=32, schedule=geometric_uniform_schedule(1e-3, 12))
+    cfg.checkpoints = cfg.schedule
+    gen = streams.path_stream(32, 724, 0)
+    seen, started, finished = [], [], []
+
+    def hook(state):
+        seen.append(state.t)
+        if len(seen) == 6:
+            raise KeyError("mid-path")
+
+    class Late:   # each draw starts late, so that one is running at the raise
+        def submit(self, fn, *args, **kwargs):
+            def late():
+                started.append(None)
+                time.sleep(0.05)
+                fn(*args, **kwargs)
+                finished.append(None)
+            return lanes.pool.submit(late)
+
+    before = threading.active_count()
+    with pytest.raises(KeyError, match="mid-path"):
+        with SpectralLanes(2) as lanes:
+            try:
+                evolve(mixture, cfg, gen, on_checkpoint=hook, pool=Late())
+            finally:
+                assert len(finished) == len(started)
+                left = _philox(gen)
+                time.sleep(0.1)   # a draw still running would move the stream
+                assert _philox(gen) == left
+    assert threading.active_count() == before
+    assert len(seen) == 6 and len(started) >= 5
 
 
 def test_evolve_terminal_checkpoint_only(mixture):
