@@ -74,9 +74,10 @@ class QuadratureFailure(DensityError):
 
 
 def _mix_sum(coef, h, s):
-    """sum_i coef_i phi(h / s_i) for the standard normal density phi."""
-    z = np.asarray(h, dtype=float)[..., None] / s
-    return (coef * (np.exp(-0.5 * np.square(z)) / _SQRT2PI)).sum(axis=-1)
+    """sum_i coef_i phi(h / s_i) for the standard normal density phi, summed
+    component by component in order (no (h.size, k) array), on 0-d input too."""
+    h = np.asarray(h, dtype=float)
+    return sum(c * (np.exp(-0.5 * np.square(h / si)) / _SQRT2PI) for c, si in zip(coef, s))
 
 
 @dataclass
@@ -213,7 +214,7 @@ class CalibratedDensity:
         h = np.asarray(h, dtype=float)
         if self.kind == TABULATED:
             return np.interp(h, self.grid, self.cdf_grid)
-        return (self.mix_w * ndtr(h[..., None] / self.mix_s)).sum(axis=-1)
+        return sum(w * ndtr(h / s) for w, s in zip(self.mix_w, self.mix_s))
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
@@ -248,12 +249,14 @@ class CalibratedDensity:
         Used by SDE integrators: rare excursions past h_max must not abort
         a trial, but they are counted and reported.  Hot loops pass out (may
         be h) and work, a (4, h.size) scratch array, and no float array is made.
+        Entries are counted (NaN never is) only if h.min() or h.max() is outside.
         """
-        h = np.asarray(h, dtype=float)
-        mag = np.abs(h) if work is None else np.abs(h, out=work[0])
-        n_clamped = int(np.count_nonzero(mag > self.h_max))
+        h, hm = np.asarray(h, dtype=float), self.h_max
+        inside = not h.size or -hm <= h.min() <= h.max() <= hm
+        n_clamped = 0 if inside else int(np.count_nonzero(
+            np.abs(h, out=None if work is None else work[0]) > hm))
         if n_clamped:
-            h = np.clip(h, -self.h_max, self.h_max, out=out)
+            h = np.clip(h, -hm, hm, out=out)
         return self._a_unchecked(h, out, work), n_clamped
 
     def _a_unchecked(self, h, out=None, work=None):
@@ -268,18 +271,22 @@ class CalibratedDensity:
         # contributes exp of a nonpositive shift and the ratio stays finite
         # at large |h| (limit: sigma_max^2; for one component, such as the
         # Gaussian, a is that constant exactly, with no 0/0 underflow).
-        # This is the SDE hot path; one exp call per extra component.
+        # This is the SDE hot path; one exp call per extra component, and the
+        # widest one's constant added to the first term (a + b is b + a, bitwise).
         w, s, cs = self.mix_w, self.mix_s, self.mix_cshift
+        num = np.empty_like(h) if out is None else out
+        if s.size == 1:
+            num.fill(w[0] * s[0] / (w[0] / s[0]))
+            return num
         x2, den, e, we = work if work is not None else [np.empty_like(h) for _ in range(4)]
-        np.square(h, out=x2)
-        num = np.empty_like(x2) if out is None else out
-        num.fill(w[-1] * s[-1])
-        den.fill(w[-1] / s[-1])
-        for i in range(len(s) - 1):
+        np.exp(np.multiply(cs[0], np.square(h, out=x2), out=e), out=e)
+        np.add(np.multiply(w[0] * s[0], e, out=num), w[-1] * s[-1], out=num)
+        np.add(np.multiply(w[0] / s[0], e, out=den), w[-1] / s[-1], out=den)
+        for i in range(1, len(s) - 1):
             np.exp(np.multiply(cs[i], x2, out=e), out=e)
             num += np.multiply(w[i] * s[i], e, out=we)
-            den += np.multiply(w[i] / s[i], e, out=we)
-        return np.divide(num, den, out=out)
+            den += np.multiply(w[i] / s[i], e, out=e)
+        return np.divide(num, den, out=num)
 
     # -- reconstruction ------------------------------------------------------
 

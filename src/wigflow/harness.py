@@ -421,12 +421,12 @@ def run_entrywise(er: EigenResolvent, dom: SpectralDomain,
         m = msc(z)
         G = er.full(z)
         gd = G.diagonal()
-        off = G.copy()
+        off = np.abs(G)
         np.fill_diagonal(off, 0.0)
         norm = np.sqrt((1.0 + m.imag) / (n * z.imag))
         rows.append((float(z.real), float(z.imag),
                      float(np.max(np.abs(gd - m))),
-                     float(np.max(np.abs(off))),
+                     float(np.max(off)),
                      float(np.max(np.abs(1.0 / gd + z + m)) / norm)))
     arr = np.asarray([r[2:] for r in rows])
     return EntrywiseReport(rows=rows,
@@ -513,16 +513,18 @@ def _characteristic_trial(cfg, n, trial, path):
     er, dev = final.resolvent, final.sigma   # sigma is recomputed per read:
     dev -= 1.0 / n                            # center it in place, once per state
     sen_rows = [senergy(1.0, er, dev, z) for z in dom.z_grid(cfg.n_im, cfg.n_re).ravel()]
-    # and along two curves at thinned interior checkpoints, one O(N^2) basis
-    # per checkpoint shared by both, never kept; rows stay curve by curve
+    # and along two curves at thinned interior checkpoints, one basis per
+    # checkpoint shared by both, V∘V alone (only diag is read), never two at
+    # once; rows stay curve by curve
     idxs = sorted(set(np.linspace(1, tg.size - 2, cfg.senergy_times).astype(int)))
     along = [(curves[ci], []) for ci in (0, cfg.n_re // 2) if curves[ci] is not None]
     for k in idxs:
+        er = dev = None   # the last basis and sigma go before the next comes
         live = [(fc, rows) for fc, rows in along if fc.tau is None or tg[k] < fc.tau]
         if not live:
             break
         state = path.states[k - 1]
-        er, dev = EigenResolvent(state.H), state.sigma
+        er, dev = EigenResolvent(state.H, full=False), state.sigma
         dev -= 1.0 / n
         for fc, rows in live:
             rows.append(senergy(float(tg[k]), er, dev, complex(fc.xi[k])))

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from contextlib import closing
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import repeat
 from math import isqrt
 
@@ -114,10 +115,10 @@ class PathConfig:
 class MatrixState:
     """H(t) as its upper triangle hu in np.triu_indices order, 4 MB at N = 1000.
     H (exactly symmetric) and sigma (the SDE step's profile, bit for bit) are
-    rebuilt per access.  spectra holds each decomposition _spectrum made:
-    "eigvalsh" and "eigh" of H, and under an earlier checkpoint time t0 of
-    the same path, the eigvalsh table of the state halfway back to it
-    (t0 = 0: half of H)."""
+    rebuilt per access by _unpack, with no loop over rows.  spectra holds each
+    decomposition _spectrum made: "eigvalsh" and "eigh" (a full basis) of H,
+    and under an earlier checkpoint time t0 of the same path, the eigvalsh
+    table of the state halfway back to it (t0 = 0: half of H)."""
 
     t: float
     hu: np.ndarray
@@ -167,18 +168,25 @@ class MatrixPath:
         return MatrixPath(config=config, states=states, total_clamps=self.total_clamps)
 
 
+# the n x n upper-triangle mask: its True entries, row by row, are hu's order
+_upper = lru_cache(maxsize=8)(lambda n: np.triu(np.ones((n, n), dtype=bool)))
+
+
 def _unpack(hu, n, out=None, other=None, frac=1.0):
     """The symmetric n x n matrix whose upper triangle is frac * hu +
-    (1 - frac) * other (other optional), row by row, written into out if
-    given: the one interpolation between packed triangles."""
+    (1 - frac) * other (other optional), written into out if given by one mask
+    assignment per triangle: the one interpolation between packed triangles.
+    A midpoint is 0.5 * (hu + other), the bits of 0.5 * hu + 0.5 * other."""
     M = np.empty((n, n)) if out is None else out
-    start = 0   # slices: 4x faster than np.triu_indices at N = 1000
-    for i in range(n):
-        row, end = M[i, i:], start + n - i
-        np.multiply(hu[start:end], frac, out=row)
-        if other is not None:
-            row += (1.0 - frac) * other[start:end]
-        M[i:, i], start = row, end
+    if other is None:
+        vals = hu if frac == 1.0 else hu * frac
+    elif frac == 0.5:
+        vals = np.add(hu, other)
+        vals *= 0.5
+    else:
+        vals = hu * frac + (1.0 - frac) * other
+    M[_upper(n)] = vals
+    M.T[_upper(n)] = vals
     return M
 
 

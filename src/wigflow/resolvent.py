@@ -148,14 +148,14 @@ class EigenResolvent:
 
     Decomposes H once; each z then costs O(N) for the trace mean, O(N^2)
     for the diagonal, O(N^3) for the full matrix.  Read-only after
-    construction.
+    construction.  full=False keeps V∘V alone, in place of V: half the bytes.
     """
 
-    def __init__(self, H: np.ndarray):
+    def __init__(self, H: np.ndarray, full: bool = True):
         H = np.asarray(H)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise DimensionMismatch(f"H must be square, got {H.shape}")
-        self._decompose(H)
+        self._decompose(H, full)
 
     @classmethod
     def _of(cls, H: np.ndarray) -> "EigenResolvent":
@@ -165,10 +165,11 @@ class EigenResolvent:
         er._decompose(H)
         return er
 
-    def _decompose(self, H: np.ndarray) -> None:
+    def _decompose(self, H: np.ndarray, full: bool = True) -> None:
         self.n = H.shape[0]
-        self.eigenvalues, self._V = np.linalg.eigh(H)
-        self._V2 = self._V * self._V
+        self.eigenvalues, V = np.linalg.eigh(H)
+        self._V = V if full else None
+        self._V2 = V * V if full else np.multiply(V, V, out=V)
 
     def trace_mean(self, z: complex) -> complex:
         return complex(np.mean(1.0 / (self.eigenvalues - z)))
@@ -177,6 +178,8 @@ class EigenResolvent:
         return self._V2 @ (1.0 / (self.eigenvalues - z))
 
     def full(self, z: complex) -> np.ndarray:
+        if self._V is None:
+            raise ValueError("this basis keeps V∘V alone: diag and trace_mean only")
         return (self._V * (1.0 / (self.eigenvalues - z))) @ self._V.T
 
 

@@ -218,3 +218,103 @@ def test_tabulated_positivity_validation():
     v[50] = 0.0
     with pytest.raises(NonPositiveDensity):
         calibrate(DensitySpec.tabulated(h, v))
+
+
+# -------------------------------------------- kernels against their old forms
+
+_SQRT2PI = np.sqrt(2.0 * np.pi)
+_KINDS = {"gaussian": DensitySpec.gaussian(),
+          "mix2": DensitySpec.mixture(MIX_WEIGHTS, MIX_SIGMAS),
+          "mix3": DensitySpec.mixture((0.2, 0.5, 0.3), (0.6, 1.0, 1.4)),
+          "tabulated": DensitySpec.tabulated(np.linspace(-8, 8, 161),
+                                             np.exp(-0.5 * np.linspace(-8, 8, 161) ** 2))}
+
+
+@pytest.fixture(scope="module", params=list(_KINDS))
+def any_density(request):
+    return calibrate(_KINDS[request.param])
+
+
+def _a_clamped_reference(cd, h):
+    """a_clamped as an |h| count and fill-based mixture sum: the reference form."""
+    h = np.asarray(h, dtype=float)
+    n_clamped = int(np.count_nonzero(np.abs(h) > cd.h_max))
+    if n_clamped:
+        h = np.clip(h, -cd.h_max, cd.h_max)
+    if cd.kind == "tabulated":
+        return np.interp(h, cd.grid, cd.a_grid), n_clamped
+    w, s, cs = cd.mix_w, cd.mix_s, cd.mix_cshift
+    x2 = np.square(h)
+    num, den = np.full_like(x2, w[-1] * s[-1]), np.full_like(x2, w[-1] / s[-1])
+    for i in range(len(s) - 1):
+        e = np.exp(cs[i] * x2)
+        num += (w[i] * s[i]) * e
+        den += (w[i] / s[i]) * e
+    return num / den, n_clamped
+
+
+def _entries_at_the_edges(cd):
+    hm = cd.h_max
+    h = np.concatenate([streams.stream(23, 0).standard_normal(3000) * 0.6 * hm,
+                        [hm, -hm, np.nextafter(hm, np.inf), -np.nextafter(hm, np.inf),
+                         1.5 * hm, -2.0 * hm, 0.0, -0.0, np.nan, np.nan]])
+    finite = h[:-2]   # with NaN, without, past one edge only, all inside
+    return h, finite, finite[finite <= hm], finite[finite >= -hm], finite[np.abs(finite) <= hm]
+
+
+@pytest.mark.bitwise
+def test_a_clamped_bitwise_against_count_and_fill_form(any_density):
+    cd = any_density
+    for h in _entries_at_the_edges(cd):
+        want, n_want = _a_clamped_reference(cd, h)
+        for mode in ("plain", "out", "out+work", "aliased"):
+            buf = h.copy()
+            out = {"plain": None, "out": np.empty_like(h), "out+work": np.empty_like(h),
+                   "aliased": buf}[mode]
+            work = np.empty((4, h.size)) if mode in ("out+work", "aliased") else None
+            got, n = cd.a_clamped(buf, out=out, work=work)
+            assert n == n_want, mode
+            assert np.asarray(got).tobytes() == want.tobytes(), mode
+            if out is not None:
+                assert got is out
+            if mode != "aliased":
+                assert np.array_equal(buf, h, equal_nan=True)
+
+
+def _mix_reference(cd):
+    """rho, cdf, tail_moment and quantile of a mixture through (n, k) arrays."""
+    w, s = cd.mix_w, cd.mix_s
+
+    def mix_sum(coef, h):
+        z = np.asarray(h, dtype=float)[..., None] / s
+        return (coef * (np.exp(-0.5 * np.square(z)) / _SQRT2PI)).sum(axis=-1)
+
+    def cdf(h):
+        return (w * ndtr(np.asarray(h, dtype=float)[..., None] / s)).sum(axis=-1)
+
+    def quantile(p):
+        p = np.asarray(p, dtype=float)
+        if s.size == 1:
+            return s[0] * ndtri(p)
+        x = np.interp(p, cd.cdf_grid, cd.grid)
+        for _ in range(3):
+            x = x - (cdf(x) - p) / np.maximum(mix_sum(w / s, x), 1e-300)
+        return np.clip(x, -cd.h_max, cd.h_max)
+
+    return {"rho": lambda h: mix_sum(w / s, h), "cdf": cdf,
+            "tail_moment": lambda h: mix_sum(w * s, h), "quantile": quantile}
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("spec", ["gaussian", "mix2", "mix3"])
+def test_mixture_evaluators_bitwise_against_broadcast_form(spec):
+    cd = calibrate(_KINDS[spec])
+    h = np.linspace(-cd.h_max, cd.h_max, 2001)
+    p = streams.stream(29, 0).random(2000)
+    for name, ref in _mix_reference(cd).items():
+        fn = getattr(cd, name)
+        for x in ((p, 0.3, np.float64(0.7), np.array(0.01)) if name == "quantile"
+                  else (h, 0.0, -1.25, np.float64(2.5), np.array(-0.5))):
+            got, want = fn(x), ref(x)
+            assert np.shape(got) == np.shape(want), (name, x)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (name, x)

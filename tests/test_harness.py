@@ -4,6 +4,7 @@ import csv
 import filecmp
 import sys
 import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -526,3 +527,32 @@ def test_telemetry_counts_clamps_of_every_path():
     want = sum(evolve(cd, cfg.path_config(64, t, checkpoints=np.array([1.0]))).total_clamps
                for t in range(cfg.trials))
     assert telemetry == {"sde_clamps": want} and want > 0
+
+
+def test_tail_holds_one_interior_basis_of_squares_alone(monkeypatch):
+    # the along-curve self-energy rows come from one interior basis at a time,
+    # each V∘V alone, and equal bit for bit the rows of full bases
+    real = harness.EigenResolvent
+    live, peak, halves = [0], [0], []
+
+    def released():
+        live[0] -= 1
+
+    class Counted(real):
+        def __init__(self, H, full=True):
+            super().__init__(H, full)
+            halves.append(self._V is None)
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+            weakref.finalize(self, released)
+
+    cfg = small_config(density=DensitySpec.mixture((0.5, 0.5), (0.5, 1.2)), trials=2,
+                       n_steps=60, n_checkpoints=11, n_re=5, n_im=3, senergy_times=4)
+    monkeypatch.setattr(harness, "EigenResolvent", Counted)
+    rows = run_one(cfg, "characteristics").rows["characteristics_senergy"]
+    assert len(halves) >= 2 * 3 and all(halves)
+    assert peak == [1] and live == [0]
+    monkeypatch.setattr(harness, "EigenResolvent", lambda H, full=True: real(H))
+    full = run_one(cfg, "characteristics").rows["characteristics_senergy"]
+    assert sum(r[2] != 1.0 for r in rows) >= 2 * 3
+    assert repr(rows) == repr(full)

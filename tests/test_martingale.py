@@ -152,6 +152,34 @@ def test_spectra_once_and_bitwise(mixture):
         assert st.resolvent is st.spectra["eigh"]
 
 
+def _unpack_by_rows(hu, n, out=None, other=None, frac=1.0):
+    """_unpack as a loop over rows: the reference form."""
+    M = np.empty((n, n)) if out is None else out
+    start = 0
+    for i in range(n):
+        row, end = M[i, i:], start + n - i
+        np.multiply(hu[start:end], frac, out=row)
+        if other is not None:
+            row += (1.0 - frac) * other[start:end]
+        M[i:, i], start = row, end
+    return M
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("n", [1, 2, 33, 128])
+@pytest.mark.parametrize("frac", [1.0, 0.5, 0.3])
+def test_unpack_bitwise_against_rows(n, frac):
+    from wigflow.martingale import _unpack
+    hu, other = streams.stream(31, n).standard_normal((2, n * (n + 1) // 2)) / np.sqrt(n)
+    for o in (None, other):
+        want = _unpack_by_rows(hu, n, other=o, frac=frac)
+        assert np.array_equal(want, want.T)
+        assert _unpack(hu, n, other=o, frac=frac).tobytes() == want.tobytes()
+        out = np.full((n, n), np.nan)
+        assert _unpack(hu, n, out, o, frac) is out
+        assert out.tobytes() == want.tobytes()
+
+
 def test_step_replays_evolve(mixture):
     # init_exact and step run the kernel evolve runs: same draws, same bits
     sched = geometric_uniform_schedule(1e-3, 20)

@@ -76,6 +76,21 @@ def test_eigen_path_matches_solve():
         assert np.max(np.abs(er.full(z) - s.G)) < 1e-10
 
 
+@pytest.mark.bitwise
+def test_squares_only_basis_reads_diag_bitwise():
+    # full=False keeps V∘V alone, in V's buffer: diag and trace_mean keep
+    # their bits, full raises
+    H = wigner(60, 8)
+    er, half = EigenResolvent(H), EigenResolvent(H, full=False)
+    assert half._V is None and half._V2.nbytes == er._V.nbytes
+    assert half._V2.tobytes() == er._V2.tobytes()
+    for z in (1j, 0.4 + 0.03j, -1.1 + 0.5j):
+        assert half.diag(z).tobytes() == er.diag(z).tobytes()
+        assert half.trace_mean(z) == er.trace_mean(z)
+    with pytest.raises(ValueError, match="diag and trace_mean only"):
+        half.full(1j)
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(n=st.integers(4, 40), seed=st.integers(0, 2 ** 32 - 1),
        re=st.floats(-3.0, 3.0), log_im=st.floats(-3.0, 0.5))
