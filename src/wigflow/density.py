@@ -277,16 +277,17 @@ class CalibratedDensity:
         num = np.empty_like(h) if out is None else out
         if s.size == 1:
             num.fill(w[0] * s[0] / (w[0] / s[0]))
-            return num
-        x2, den, e, we = work if work is not None else [np.empty_like(h) for _ in range(4)]
-        np.exp(np.multiply(cs[0], np.square(h, out=x2), out=e), out=e)
-        np.add(np.multiply(w[0] * s[0], e, out=num), w[-1] * s[-1], out=num)
-        np.add(np.multiply(w[0] / s[0], e, out=den), w[-1] / s[-1], out=den)
-        for i in range(1, len(s) - 1):
-            np.exp(np.multiply(cs[i], x2, out=e), out=e)
-            num += np.multiply(w[i] * s[i], e, out=we)
-            den += np.multiply(w[i] / s[i], e, out=e)
-        return np.divide(num, den, out=num)
+        else:
+            x2, den, e, we = work if work is not None else [np.empty_like(h) for _ in range(4)]
+            np.exp(np.multiply(cs[0], np.square(h, out=x2), out=e), out=e)
+            np.add(np.multiply(w[0] * s[0], e, out=num), w[-1] * s[-1], out=num)
+            np.add(np.multiply(w[0] / s[0], e, out=den), w[-1] / s[-1], out=den)
+            for i in range(1, len(s) - 1):
+                np.exp(np.multiply(cs[i], x2, out=e), out=e)
+                num += np.multiply(w[i] * s[i], e, out=we)
+                den += np.multiply(w[i] / s[i], e, out=e)
+            np.divide(num, den, out=num)
+        return num if out is not None else num[()]   # 0-d input: a scalar
 
     # -- reconstruction ------------------------------------------------------
 

@@ -175,16 +175,11 @@ _upper = lru_cache(maxsize=8)(lambda n: np.triu(np.ones((n, n), dtype=bool)))
 def _unpack(hu, n, out=None, other=None, frac=1.0):
     """The symmetric n x n matrix whose upper triangle is frac * hu +
     (1 - frac) * other (other optional), written into out if given by one mask
-    assignment per triangle: the one interpolation between packed triangles.
-    A midpoint is 0.5 * (hu + other), the bits of 0.5 * hu + 0.5 * other."""
+    assignment per triangle: the one interpolation between packed triangles."""
     M = np.empty((n, n)) if out is None else out
-    if other is None:
-        vals = hu if frac == 1.0 else hu * frac
-    elif frac == 0.5:
-        vals = np.add(hu, other)
-        vals *= 0.5
-    else:
-        vals = hu * frac + (1.0 - frac) * other
+    vals = hu if frac == 1.0 and other is None else hu * frac
+    if other is not None:
+        vals += (1.0 - frac) * other   # vals is a fresh array here
     M[_upper(n)] = vals
     M.T[_upper(n)] = vals
     return M

@@ -281,6 +281,19 @@ def test_a_clamped_bitwise_against_count_and_fill_form(any_density):
                 assert np.array_equal(buf, h, equal_nan=True)
 
 
+@pytest.mark.bitwise
+def test_a_of_h_and_a_clamped_return_scalars_for_0d_input(any_density):
+    cd = any_density
+    for x in (0.0, -1.25, np.float64(0.5 * cd.h_max), np.array(-cd.h_max), np.array(2.0 * cd.h_max)):
+        want, n_want = _a_clamped_reference(cd, x)
+        assert type(want) is np.float64
+        got, n = cd.a_clamped(x)
+        assert (type(got), n, got.tobytes()) == (np.float64, n_want, want.tobytes())
+        if not n_want:
+            got = cd.a_of_h(x)
+            assert (type(got), got.tobytes()) == (np.float64, want.tobytes())
+
+
 def _mix_reference(cd):
     """rho, cdf, tail_moment and quantile of a mixture through (n, k) arrays."""
     w, s = cd.mix_w, cd.mix_s
