@@ -181,15 +181,12 @@ def cmd_run(args) -> int:
                      else len(os.sched_getaffinity(0))}
         if args.seed is not None:
             overrides["base_seed"] = args.seed
+        if args.experiment is not None:
+            overrides["experiments"] = (EXPERIMENT_NAMES if args.experiment == "all"
+                                        else (args.experiment,))
         cfg = replace(cfg, **overrides)
     except ConfigError as exc:
         raise CliError(str(exc))
-    if args.experiment is None:
-        selected = cfg.experiments
-    elif args.experiment == "all":
-        selected = EXPERIMENT_NAMES
-    else:
-        selected = (args.experiment,)
 
     _fresh_target(out_dir, "manifest.json", args.overwrite)
     started = _now()
@@ -209,7 +206,7 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     experiments, failures, telemetry = {}, {}, {}
     worst = 0.0
-    for name, report in run_experiments(cfg, selected, cd, telemetry).items():
+    for name, report in run_experiments(cfg, cd, telemetry).items():
         csv_paths = write_report_csv(report, out_dir)
         summary_path = out_dir / f"{name}-summary-{cfg.base_seed}.json"
         _write_json(summary_path, report.summary())

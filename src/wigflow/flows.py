@@ -83,10 +83,11 @@ class SpectralLanes:
     one lane starts no thread, and no thread outlives the block.
 
     A job is (state, key, prev): martingale._spectrum fills state.spectra[key],
-    so the lane count changes no value and a key already there queues
-    nothing.  Lane code calls numpy and private helpers only.  `pool` (None
-    at one lane) also takes other work while the block runs: evolve draws
-    the SDE normals ahead on it, behind the spectral jobs queued so far.
+    so the lane count changes no value, and _spectrum alone decides that a
+    key is already there (during evolve, every queued state is fresh).  Lane
+    code calls numpy and private helpers only.  `pool` (None at one lane)
+    also takes other work while the block runs: evolve draws the SDE normals
+    ahead on it, behind the spectral jobs queued so far.
     """
 
     def __init__(self, lanes: int):
@@ -108,9 +109,6 @@ class SpectralLanes:
 
     def _submit(self, jobs):
         for job in jobs:
-            state, key, _prev = job
-            if key in state.spectra:
-                continue
             future = self.pool.submit(self._pooled, *job) if self.pool else None
             self._queue.append((future, job))
 

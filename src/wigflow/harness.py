@@ -13,7 +13,7 @@ Four experiments read the same matrix paths H(t), one per (N, trial):
                    at the curve endpoints and along thinned curves
 
 run_experiments evolves each path once, on the union of the checkpoints
-the selected experiments read, and gives every experiment a view holding
+the config's experiments read, and gives every experiment a view holding
 only its own checkpoint states.  Each kept state goes to the trial's
 spectral lanes as soon as it exists: the trace tables of the experiments
 that read them, and the t = 1 eigh basis.  The lanes work while the path
@@ -78,7 +78,6 @@ COLUMNS = {
     "characteristics_senergy": ("n", "trial", "t", "re_z", "im_z",
                                 "abs_error", "normalizer", "ratio"),
 }
-CHAR_MAP_COLUMNS = COLUMNS["characteristics"]
 
 # A sampled pair contracts when its ratio stays within this slack of 1.
 _CONTRACTION_SLACK = 0.05
@@ -364,7 +363,7 @@ def nearest_schedule_times(schedule: np.ndarray, targets: Sequence[float]) -> li
 
 
 def _marginal_trial(_cfg, _n, _trial, path):
-    return {s.t: s.hu.copy() for s in path.states}
+    return {s.t: s.hu for s in path.states}   # hu is never written again
 
 
 def _marginal_reduce(cfg, cd, results):
@@ -729,19 +728,19 @@ def _trial(task):
     return path.total_clamps, out
 
 
-def run_experiments(config: ExperimentConfig, names: Sequence[str],
-                    cd: CalibratedDensity | None = None,
+def run_experiments(config: ExperimentConfig, cd: CalibratedDensity | None = None,
                     telemetry: dict | None = None) -> dict:
-    """Run the named experiments on shared paths.
+    """Run config.experiments on shared paths.
 
     Each (N, trial) path is integrated once, on the union of the
     checkpoints the experiments read.  Returns {name: Report} in the
-    order of `names`.  A telemetry dict, if given, receives `sde_clamps`:
-    the SDE entries clamped over every evolved path.
+    order of config.experiments.  A telemetry dict, if given, receives
+    `sde_clamps`: the SDE entries clamped over every evolved path.
     """
     if cd is None:
         cd = calibrate(config.density)
-    plan = [(EXPERIMENTS[name], EXPERIMENTS[name].times(config)) for name in names]
+    plan = [(EXPERIMENTS[name], EXPERIMENTS[name].times(config))
+            for name in config.experiments]
     checkpoints = np.unique(np.concatenate([times for _exp, times in plan]))
     tasks = [(n, t) for n in config.n_values for t in range(config.trials)]
     clamps, results = zip(*_map_trials(_trial, (cd, config, plan, checkpoints),
@@ -749,7 +748,7 @@ def run_experiments(config: ExperimentConfig, names: Sequence[str],
     if telemetry is not None:
         telemetry["sde_clamps"] = int(sum(clamps))
     reports = {}
-    for i, (name, (exp, _times)) in enumerate(zip(names, plan)):
+    for i, (name, (exp, _times)) in enumerate(zip(config.experiments, plan)):
         done, failures = [], []
         for (n, trial), res in zip(tasks, results):
             if isinstance(res[i], TrialFailure):

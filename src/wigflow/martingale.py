@@ -13,10 +13,10 @@ triangle of H alone (4 MB at N = 1000) and rebuilds H and sigma from it on
 each access, at O(N^2) cost.  Every eigendecomposition of a state comes
 from one routine, _spectrum, and is kept in one cache, state.spectra.  One
 kernel advances matrix paths, single steps and scalar paths, in cache-sized
-blocks of entries.  Its Philox normals do not depend on the state, so when
-evolve is given a thread pool (a trial's spectral lanes), the pool draws the
-next chunk of whole steps' normals while the caller applies the current one;
-the draws keep their order, so the bits are those of the serial kernel.
+blocks of entries, on the normals _normals draws a chunk of steps at a time.
+They do not depend on the state, so when evolve is given a thread pool (a
+trial's spectral lanes), the pool draws the next chunk while the caller
+applies the current one; the draws keep their order, and so their bits.
 
 The SDE is singular at t = 0 (the coefficient argument is 0/0), so paths
 are initialized at a small t_init > 0 by sampling the known marginal
@@ -30,7 +30,6 @@ from __future__ import annotations
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import repeat
 from math import isqrt
 
 import numpy as np
@@ -114,16 +113,15 @@ class PathConfig:
 @dataclass
 class MatrixState:
     """H(t) as its upper triangle hu in np.triu_indices order, 4 MB at N = 1000.
-    H (exactly symmetric) and sigma (the SDE step's profile, bit for bit) are
-    rebuilt per access by _unpack, with no loop over rows.  spectra holds each
-    decomposition _spectrum made: "eigvalsh" and "eigh" (a full basis) of H,
-    and under an earlier checkpoint time t0 of the same path, the eigvalsh
-    table of the state halfway back to it (t0 = 0: half of H)."""
+    H (exactly symmetric) and sigma, the kernel's a(sqrt(N/t) H)/N bit for
+    bit, are rebuilt per access by _unpack.  spectra holds each decomposition
+    _spectrum made: "eigvalsh" and "eigh" (a full basis) of H, and under an
+    earlier checkpoint time t0 of the same path, the eigvalsh table of the
+    state halfway back to it (t0 = 0: half of H)."""
 
     t: float
     hu: np.ndarray
     density: CalibratedDensity = field(repr=False, compare=False)
-    clamp_count: int = 0
     spectra: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -136,7 +134,9 @@ class MatrixState:
 
     @property
     def sigma(self) -> np.ndarray:
-        return sigma_profile(self.density, self)
+        if self.t <= 0:
+            raise ValueError("sigma profile needs t > 0")
+        return _unpack(_Kernel(self.density, self.n, self.t, self.hu).su, self.n)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -198,8 +198,8 @@ def _spectrum(state, key, prev=None, buf=None):
     return state.spectra[key]
 
 
-# Entries per kernel block: the step's scratch (z and the four coefficient
-# work rows, 1.3 MB) stays in cache, whatever N is.
+# Entries per kernel block: the step's scratch (the four coefficient work
+# rows, 1 MB) stays in cache, whatever N is.
 _BLOCK = 32768
 # Normals per chunk drawn ahead, rounded up to whole steps: one handoff per
 # step cost evolve about 30% more CPU at N = 128/256, 2^18 (2 MB) did not.
@@ -210,42 +210,39 @@ class _Kernel:
     """The entry SDE, advanced in place: the one copy of its update.  hu holds
     independent entries at scale n^{-1/2} (the upper triangle of H, or n_paths
     scalar paths at n = 1) at time t, su = a(sqrt(n/t) hu)/n their coefficient.
-    advance runs block by block, on a step's normals drawn ahead or on normals
-    it draws per block; Philox normals drawn per block, per step or per chunk
-    of steps are the same bits as one draw of them all."""
+    advance runs block by block on the step's normals, which the caller draws
+    (_normals, or one draw in step); Philox normals drawn per step or per
+    chunk of steps are the same bits as one draw of them all."""
 
-    def __init__(self, cd: CalibratedDensity, n: int, t: float, hu: np.ndarray, gen=None):
-        self.cd, self.n, self.hu, self.gen = cd, n, hu, gen
+    def __init__(self, cd: CalibratedDensity, n: int, t: float, hu: np.ndarray):
+        self.cd, self.n, self.hu = cd, n, hu
         b = min(hu.size, _BLOCK)   # scratch of one block, reused by every step
-        self.z, self.work, self.su = np.empty(b), np.empty((4, b)), np.empty_like(hu)
+        self.work, self.su = np.empty((4, b)), np.empty_like(hu)
         self.advance(None, t)
 
     @classmethod
     def exact(cls, cd, n, t, gen, size=None) -> "_Kernel":
         """Entries at time t drawn from their exact marginal sqrt(t/n) * rho."""
         x = sample_iid(cd, n * (n + 1) // 2 if size is None else size, gen)
-        return cls(cd, n, t, np.sqrt(t / n) * x, gen)
+        return cls(cd, n, t, np.sqrt(t / n) * x)
 
     def advance(self, dt: float | None, t_new: float, z=None) -> None:
         """Euler-Maruyama, su <- sqrt(su dt) and hu += su z (no step when dt is
         None), then su <- a(sqrt(n/t_new) hu)/n, counting the entries a clamped.
-        z holds the step's normals, or is None: drawn from gen per block."""
+        z holds the step's normals, one per entry."""
         self.t, self.clamps = float(t_new), 0
         scale = np.sqrt(self.n / t_new)
         for lo in range(0, self.hu.size, _BLOCK):
             hu, su = self.hu[lo:lo + _BLOCK], self.su[lo:lo + _BLOCK]
             if dt is not None:
                 np.sqrt(np.multiply(su, dt, out=su), out=su)
-                zb = (self.gen.standard_normal(out=self.z[:su.size]) if z is None
-                      else z[lo:lo + _BLOCK])
-                hu += np.multiply(su, zb, out=su)
+                hu += np.multiply(su, z[lo:lo + _BLOCK], out=su)
             x = np.multiply(hu, scale, out=su)
             self.clamps += self.cd.a_clamped(x, out=x, work=self.work[:, :su.size])[1]
             su /= self.n
 
     def state(self) -> MatrixState:
-        return MatrixState(t=self.t, hu=self.hu.copy(), density=self.cd,
-                           clamp_count=self.clamps)
+        return MatrixState(t=self.t, hu=self.hu.copy(), density=self.cd)
 
 
 def init_exact(cd: CalibratedDensity, n: int, t_init: float,
@@ -254,41 +251,32 @@ def init_exact(cd: CalibratedDensity, n: int, t_init: float,
     return _Kernel.exact(cd, n, t_init, gen).state()
 
 
-def sigma_profile(cd: CalibratedDensity, state: MatrixState) -> np.ndarray:
-    """Recompute sigma_ij = a(sqrt(N/t) H_ij)/N from the state."""
-    if state.t <= 0:
-        raise ValueError("sigma profile needs t > 0")
-    return _unpack(_Kernel(cd, state.n, state.t, state.hu).su, state.n)
-
-
 def step(cd: CalibratedDensity, state: MatrixState, dt: float,
          gen: np.random.Generator) -> MatrixState:
-    """One Euler-Maruyama step of the matrix SDE."""
+    """One Euler-Maruyama step of the matrix SDE, on one draw of its normals."""
     if dt <= 0:
         raise InvalidStep(f"dt = {dt} must be positive")
     t_new = state.t + dt
     if t_new > 1.0 + 1e-12:
         raise InvalidStep(f"step to t = {t_new} overshoots the terminal time 1")
-    kernel = _Kernel(cd, state.n, state.t, state.hu.copy(), gen)
-    kernel.advance(dt, min(t_new, 1.0))
+    kernel = _Kernel(cd, state.n, state.t, state.hu.copy())
+    kernel.advance(dt, min(t_new, 1.0), gen.standard_normal(kernel.hu.size))
     return kernel.state()
 
 
 def _normals(gen, size, steps, pool):
-    """Each step's `size` normals from gen, in step order, for _Kernel.advance.
+    """Each step's `size` normals from gen, in step order, for _Kernel.advance:
+    the one source of the SDE's normals.
 
-    Without a pool, None per step: the kernel draws them per block itself.
-    With one, steps come in chunks of at least _CHUNK normals, double
-    buffered.  Chunk c + 1 goes to the pool only once chunk c is drawn, so one
-    draw at most is outstanding and the Philox stream is read in order.  The
-    caller takes a chunk the pool has not started (future.cancel()) and draws
-    it itself, otherwise waits for it.  The pool draws through a Generator of
-    the same bit generator, built here: no method of gen runs off this thread.
-    Closing the generator waits out a draw still running.
+    Steps come in chunks of at least _CHUNK normals, double buffered.  Without
+    a pool, the caller draws each chunk itself.  With one, chunk c + 1 goes to
+    the pool only once chunk c is drawn, so one draw at most is outstanding
+    and the Philox stream is read in order.  The caller takes a chunk the pool
+    has not started (future.cancel()) and draws it itself, otherwise waits for
+    it.  The pool draws through a Generator of the same bit generator, built
+    here: no method of gen runs off this thread.  Closing the generator waits
+    out a draw still running.
     """
-    if pool is None:
-        yield from repeat(None, steps)
-        return
     per = -(-_CHUNK // size)   # whole steps per chunk
     bufs = [np.empty((min(per, steps), size)) for _ in range(2)]
     chunks = -(-steps // per)
@@ -305,7 +293,7 @@ def _normals(gen, size, steps, pool):
             else:
                 pending.result()
             pending = None
-            if c + 1 < chunks:
+            if pool is not None and c + 1 < chunks:
                 pending = pool.submit(ahead.standard_normal, out=chunk(c + 1))
             yield from chunk(c)
     finally:
@@ -324,9 +312,10 @@ def evolve(cd: CalibratedDensity, config: PathConfig,
     is the same bit for bit whichever other checkpoints are kept.
     on_checkpoint(state), if given, receives each kept state as soon as it
     exists, while the integration goes on; its hu is never written again.
-    pool, a concurrent.futures executor if given, draws the normals of the
-    next chunk of steps while this thread applies the current chunk; the
-    states are the same bit for bit, and no draw outlives the call.
+    The normals come from _normals a chunk of steps at a time.  pool, a
+    concurrent.futures executor if given, draws the next chunk while this
+    thread applies the current one; the states are the same bit for bit, and
+    no draw outlives the call.
     """
     if gen is None:
         gen = streams.path_stream(config.base_seed, config.n, config.trial)
@@ -351,7 +340,8 @@ def evolve_scalar(cd: CalibratedDensity, t_grid: np.ndarray,
                   gen: np.random.Generator, n_paths: int = 1) -> np.ndarray:
     """Euler-Maruyama paths of the scalar martingale; shape (times, paths).
 
-    The matrix kernel at N = 1 on n_paths independent entries.  h(t_grid[0])
+    The matrix kernel at N = 1 on n_paths independent entries, its normals
+    drawn by _normals without a pool.  h(t_grid[0])
     is sampled from its exact marginal sqrt(t) * rho, so the statistical
     contract h(t)/sqrt(t) ~ rho holds at the start by construction and
     approximately (to discretization order) afterwards.
@@ -362,7 +352,7 @@ def evolve_scalar(cd: CalibratedDensity, t_grid: np.ndarray,
     out = np.empty((t_grid.size, n_paths))
     kernel = _Kernel.exact(cd, 1, t_grid[0], gen, size=n_paths)
     out[0] = kernel.hu
-    for k in range(t_grid.size - 1):
-        kernel.advance(t_grid[k + 1] - t_grid[k], t_grid[k + 1])
+    for k, z in enumerate(_normals(gen, n_paths, t_grid.size - 1, None)):
+        kernel.advance(t_grid[k + 1] - t_grid[k], t_grid[k + 1], z)
         out[k + 1] = kernel.hu
     return out

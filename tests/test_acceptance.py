@@ -28,7 +28,7 @@ from wigflow import harness
 from wigflow.cli import stub_checks
 from wigflow.density import DensitySpec, calibrate
 from wigflow.domains import msc
-from wigflow.harness import (CHAR_MAP_COLUMNS, EXPERIMENT_NAMES,
+from wigflow.harness import (COLUMNS, EXPERIMENT_NAMES,
                              ExperimentConfig, aggregate_entrywise,
                              aggregate_lsc, domination_quantile,
                              run_entrywise, run_experiments, write_report_csv)
@@ -46,7 +46,7 @@ POOL = min(2, len(os.sched_getaffinity(0)))   # processes for the mixture ensemb
 
 pytestmark = pytest.mark.acceptance
 
-_MAP_COL = dict(zip(CHAR_MAP_COLUMNS, range(len(CHAR_MAP_COLUMNS))))
+_MAP_COL = dict(zip(COLUMNS["characteristics"], range(len(COLUMNS["characteristics"]))))
 _ENSEMBLE = None   # (cfg, cd, with_senergy), inherited by the forked workers
 
 
@@ -118,8 +118,9 @@ def char_report():
     cfg = ExperimentConfig(density=DensitySpec.gaussian(), n_values=(500,),
                            trials=50, base_seed=SEED, n_steps=200,
                            n_checkpoints=26, n_im=4, n_re=9, char_im=0.5,
-                           senergy_times=3, threads=POOL)
-    return cfg, run_experiments(cfg, ("characteristics",))["characteristics"]
+                           senergy_times=3, threads=POOL,
+                           experiments=("characteristics",))
+    return cfg, run_experiments(cfg)["characteristics"]
 
 
 def test_fixture_trace_route_matches_lsc(monkeypatch):
@@ -130,7 +131,7 @@ def test_fixture_trace_route_matches_lsc(monkeypatch):
                            base_seed=SEED, n_steps=1000)
     monkeypatch.setitem(globals(), "_ENSEMBLE", (cfg, calibrate(MIX), False))
     fixture_rows, _senergy, _entry = _trial_stats((125, 0))
-    shipped = run_experiments(cfg, ("lsc",))["lsc"].rows["lsc"]
+    shipped = run_experiments(cfg)["lsc"].rows["lsc"]
     assert len(shipped) == 8 * 9
     assert [r[:4] for r in shipped] == [r[:4] for r in fixture_rows]
     np.testing.assert_allclose([r[4] for r in fixture_rows],
@@ -167,8 +168,8 @@ def test_criterion_03_marginal_ks():
     t0 = time.monotonic()
     cfg = ExperimentConfig(density=MIX, n_values=(200,), trials=1,
                            base_seed=SEED, n_steps=2000,
-                           marginal_times=(0.25, 1.0))
-    rep = run_experiments(cfg, ("marginal",))["marginal"]
+                           marginal_times=(0.25, 1.0), experiments=("marginal",))
+    rep = run_experiments(cfg)["marginal"]
     assert not rep.failures
     assert len(rep.rows["marginal"]) == 2
     for _n, _t, pooled, _stat, _p, rejected in rep.rows["marginal"]:
@@ -313,8 +314,8 @@ def test_criterion_11_pool_size_determinism(tmp_path):
     for threads in (1, 2, 3):
         d = tmp_path / f"pool{threads}"
         d.mkdir()
-        c = replace(cfg, threads=threads)
-        for rep in run_experiments(c, EXPERIMENT_NAMES).values():
+        c = replace(cfg, threads=threads, experiments=EXPERIMENT_NAMES)
+        for rep in run_experiments(c).values():
             write_report_csv(rep, d)
         dirs.append(d)
     names = sorted(p.name for p in dirs[0].iterdir())

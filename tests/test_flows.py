@@ -354,7 +354,7 @@ def test_lane_jobs_call_no_public_function(gauss_path, monkeypatch):
                         monkeypatch.setitem(obj, key, wrapped[id(val)])
     harness = modules[-1]
     monkeypatch.setattr(harness, "spectral_lanes", lambda processes: 3)
-    reports = harness.run_experiments(_mixture_all_config(), harness.EXPERIMENT_NAMES)
+    reports = harness.run_experiments(_mixture_all_config())
     assert all(not rep.failures for rep in reports.values())
     # the pool thread runs every kind of job: each future is awaited in the
     # block, and each draw of normals ahead before evolve goes on

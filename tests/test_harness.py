@@ -14,7 +14,7 @@ from wigflow.density import DensitySpec, calibrate
 from wigflow.domains import SpectralDomain, msc
 from wigflow import flows, harness
 from wigflow import resolvent as resolvent_module
-from wigflow.harness import (CHAR_MAP_COLUMNS, ConfigError, DegenerateFit,
+from wigflow.harness import (COLUMNS, ConfigError, DegenerateFit,
                              EmptySample, ExperimentConfig, TrialFailure,
                              aggregate_lsc, domination_quantile,
                              failure_fraction, fit_scaling,
@@ -33,7 +33,7 @@ def small_config(**kw):
 
 
 def run_one(cfg, name):
-    return run_experiments(cfg, (name,))[name]
+    return run_experiments(replace(cfg, experiments=(name,)))[name]
 
 
 # ---------------------------------------------------------------- fits
@@ -255,7 +255,7 @@ def test_run_characteristic_smoke():
     map_rows = rep.rows["characteristics"]
     assert len(map_rows) == 2 * 5
     assert len(rep.rows["characteristics_pairs"]) == 2 * 4
-    cols = dict(zip(CHAR_MAP_COLUMNS, range(len(CHAR_MAP_COLUMNS))))
+    cols = dict(zip(COLUMNS["characteristics"], range(len(COLUMNS["characteristics"]))))
     for r in map_rows:
         assert r[cols["in_D0"]] == 1
         assert r[cols["map_residual"]] < 1.0
@@ -311,12 +311,24 @@ def test_characteristic_csv_tables(tmp_path):
 # ------------------------------------------------------------ pipeline
 
 
+def test_run_experiments_runs_the_config_list_in_order():
+    # config.experiments is the one list: its order is the reports' order,
+    # and an unknown name fails config validation, not a lookup
+    cfg = small_config(trials=1, experiments=("marginal", "lsc"))
+    reps = run_experiments(cfg)
+    assert list(reps) == ["marginal", "lsc"]
+    assert [rep.experiment for rep in reps.values()] == ["marginal", "lsc"]
+    assert reps["lsc"].rows == run_one(cfg, "lsc").rows
+    with pytest.raises(ConfigError, match="unknown experiments"):
+        run_experiments(replace(cfg, experiments=("lsc", "nope")))
+
+
 def test_reader_failure_fails_one_experiment(monkeypatch):
     def broken(*_args, **_kwargs):
         raise FloatingPointError("synthetic")
 
     monkeypatch.setattr(harness, "run_entrywise", broken)
-    reps = run_experiments(small_config(trials=2), ("lsc", "entrywise"))
+    reps = run_experiments(small_config(trials=2, experiments=("lsc", "entrywise")))
     assert not reps["lsc"].failures and reps["lsc"].rows["lsc"]
     ent = reps["entrywise"]
     assert ent.summary()["failures"] == [
@@ -335,7 +347,7 @@ def test_evolve_failure_fails_every_experiment(monkeypatch):
         return real(cd, pc, *args, **kwargs)
 
     monkeypatch.setattr(harness, "evolve", flaky)
-    reps = run_experiments(small_config(trials=3), ("lsc", "marginal"))
+    reps = run_experiments(small_config(trials=3, experiments=("lsc", "marginal")))
     for rep in reps.values():
         assert [(f.trial, f.message) for f in rep.failures] == [(1, "ValueError: no path")]
     assert {r[1] for r in reps["lsc"].rows["lsc"]} == {0, 2}
@@ -352,8 +364,8 @@ def test_dense_solve_is_an_oracle_only(monkeypatch):
         monkeypatch.setattr(module, "resolvent", banned, raising=False)
     cfg = small_config(density=DensitySpec.mixture((0.5, 0.5), (0.5, 1.2)),
                        trials=2, n_steps=60, n_checkpoints=11, n_re=3, n_im=3,
-                       senergy_times=3)
-    reps = run_experiments(cfg, harness.EXPERIMENT_NAMES)
+                       senergy_times=3, experiments=harness.EXPERIMENT_NAMES)
+    reps = run_experiments(cfg)
     assert all(not rep.failures for rep in reps.values())
 
     # the along-curve self-energy rows agree with the residual-checked solve
@@ -398,8 +410,9 @@ def test_one_spectrum_per_terminal_state(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     cfg = small_config(density=DensitySpec.mixture((0.5, 0.5), (0.5, 1.2)),
                        n_values=(48, 64), trials=2, n_steps=60, n_checkpoints=11,
-                       n_re=3, n_im=3, senergy_times=3)
-    reps = run_experiments(cfg, harness.EXPERIMENT_NAMES)
+                       n_re=3, n_im=3, senergy_times=3,
+                       experiments=harness.EXPERIMENT_NAMES)
+    reps = run_experiments(cfg)
     assert all(not rep.failures for rep in reps.values())
     assert all(calls.values())
     cd = calibrate(cfg.density)
@@ -415,7 +428,7 @@ def _mixture_all_config(**kw):
     # marginal adds a checkpoint near 0.5 that the characteristics view omits
     base = dict(density=DensitySpec.mixture((0.5, 0.5), (0.5, 1.2)), n_values=(48, 64),
                 trials=2, n_steps=60, n_checkpoints=11, n_re=3, n_im=3, senergy_times=3,
-                marginal_times=(0.5, 1.0))
+                marginal_times=(0.5, 1.0), experiments=harness.EXPERIMENT_NAMES)
     base.update(kw)
     return small_config(**base)
 
@@ -431,7 +444,7 @@ def test_spectra_once_per_view_checkpoint_and_midpoint(monkeypatch):
             return _real(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     cfg = _mixture_all_config()
-    reps = run_experiments(cfg, harness.EXPERIMENT_NAMES)
+    reps = run_experiments(cfg)
     assert all(not rep.failures for rep in reps.values())
     times = harness.EXPERIMENTS["characteristics"].times(cfg)
     union = np.union1d(times, harness.EXPERIMENTS["marginal"].times(cfg))
@@ -500,9 +513,9 @@ def test_failing_trials_leave_no_thread(monkeypatch, threads):
 
     monkeypatch.setattr(harness, "evolve", failing_midway)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    cfg = _mixture_all_config(threads=threads)
+    cfg = _mixture_all_config(threads=threads, experiments=("lsc", "characteristics"))
     before = threading.active_count()
-    reps = run_experiments(cfg, ("lsc", "characteristics"))
+    reps = run_experiments(cfg)
     assert threading.active_count() == before
     for rep in reps.values():
         assert [(f.n, f.trial, f.message) for f in rep.failures] == [
@@ -522,7 +535,7 @@ def test_telemetry_counts_clamps_of_every_path():
     cd = replace(calibrate(cfg.density))
     cd.h_max = 1.0   # most entries lie past it, so the SDE clamps them
     telemetry = {}
-    reps = run_experiments(cfg, ("lsc",), cd, telemetry)
+    reps = run_experiments(cfg, cd, telemetry)
     assert not reps["lsc"].failures
     want = sum(evolve(cd, cfg.path_config(64, t, checkpoints=np.array([1.0]))).total_clamps
                for t in range(cfg.trials))

@@ -3,6 +3,7 @@
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from wigflow import streams
 from wigflow.density import DensitySpec, calibrate, sample_iid
 from wigflow.martingale import (
     InvalidStep, MatrixPath, PathConfig, checkpoint_times, evolve,
-    evolve_scalar, geometric_uniform_schedule, init_exact, sigma_profile, step,
+    evolve_scalar, geometric_uniform_schedule, init_exact, step,
 )
 
 MIX = (0.5, 0.5), (np.sqrt(0.5), np.sqrt(1.5))
@@ -195,7 +196,70 @@ def test_step_replays_evolve(mixture):
         assert st.t == ref.t
         assert np.array_equal(st.H, ref.H)
         assert np.array_equal(st.sigma, ref.sigma)
-        assert st.clamp_count == ref.clamp_count
+
+
+def _per_block(cd, n, times, gen, size=None):
+    """The kernel as it once drew its own normals, block by block of _BLOCK
+    entries (the reference form): hu at each of `times`, from the exact draw
+    at times[0], and the entries a clamped on the way."""
+    from wigflow.martingale import _BLOCK
+    hu = np.sqrt(times[0] / n) * sample_iid(cd, n * (n + 1) // 2 if size is None else size, gen)
+    a, clamps = cd.a_clamped(np.sqrt(n / times[0]) * hu)
+    su, out = a / n, [hu.copy()]
+    for t0, t1 in zip(times[:-1], times[1:]):
+        for lo in range(0, hu.size, _BLOCK):
+            b = slice(lo, lo + _BLOCK)
+            hu[b] += np.sqrt(su[b] * (t1 - t0)) * gen.standard_normal(hu[b].size)
+        a, k = cd.a_clamped(np.sqrt(n / t1) * hu)
+        su, clamps = a / n, clamps + k
+        out.append(hu.copy())
+    return out, clamps
+
+
+@pytest.mark.bitwise
+def test_step_bitwise_against_per_block_draw(mixture):
+    # N = 300: 45,150 entries, two blocks a step; step draws them at once
+    sched = geometric_uniform_schedule(1e-3, 20)[:6]
+    assert np.array_equal(sched[:-1] + np.diff(sched), sched[1:])
+    ref_gen, gen = streams.path_stream(17, 300, 0), streams.path_stream(17, 300, 0)
+    want, _clamps = _per_block(mixture, 300, sched, ref_gen)
+    st = init_exact(mixture, 300, sched[0], gen)
+    for k, hu in enumerate(want):
+        if k:
+            st = step(mixture, st, sched[k] - sched[k - 1], gen)
+        assert st.t == sched[k] and st.hu.tobytes() == hu.tobytes()
+    assert _philox(gen) == _philox(ref_gen)
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("points", [1, 2, 10])
+def test_evolve_scalar_bitwise_against_per_block_draw(mixture, points):
+    # 70,000 paths: three blocks a step, four steps a chunk (10 points: three
+    # chunks, the last short); one point draws nothing past the exact start
+    grid = np.linspace(0.05, 1.0, points)
+    ref_gen, gen = streams.stream(18, 0), streams.stream(18, 0)
+    want, _clamps = _per_block(mixture, 1, grid, ref_gen, size=70000)
+    got = evolve_scalar(mixture, grid, gen, n_paths=70000)
+    assert got.tobytes() == np.array(want).tobytes()
+    assert _philox(gen) == _philox(ref_gen)
+
+
+@pytest.mark.bitwise
+@pytest.mark.parametrize("n, n_steps", [(128, 100), (724, 12)])
+def test_evolve_bitwise_against_per_block_draw(mixture, n, n_steps):
+    # without a pool the caller draws every chunk: N = 128, 32 steps a chunk
+    # and one block a step; N = 724, one step a chunk and nine blocks a step.
+    # h_max = 1 clamps most entries, so the clamp totals are compared too
+    cd = replace(mixture)
+    cd.h_max = 1.0
+    cfg = PathConfig(n=n, base_seed=33, schedule=geometric_uniform_schedule(1e-3, n_steps))
+    cfg.checkpoints = cfg.schedule[::3]
+    ref_gen, gen = streams.path_stream(33, n, 0), streams.path_stream(33, n, 0)
+    want, clamps = _per_block(cd, n, cfg.schedule, ref_gen)
+    path = evolve(cd, cfg, gen)
+    assert [st.hu.tobytes() for st in path.states] == [hu.tobytes() for hu in want[::3]]
+    assert path.total_clamps == clamps > 0
+    assert _philox(gen) == _philox(ref_gen)
 
 
 class _Unstarted:
@@ -232,8 +296,8 @@ def _philox(gen):
 def test_evolve_draws_ahead_bitwise(mixture, n, n_steps, pool):
     # N = 128: 32 steps a chunk, 100 steps (4 chunks, the last one short);
     # N = 724: 262,450 entries, one step a chunk.  Whoever draws a chunk,
-    # the states, the clamp counts and the stream left behind are the serial
-    # kernel's, bit for bit
+    # the states, the clamp total and the stream left behind are those of
+    # evolve without a pool, bit for bit
     cfg = PathConfig(n=n, base_seed=31, schedule=geometric_uniform_schedule(1e-3, n_steps))
     cfg.checkpoints = cfg.schedule[::3]
     serial_gen = streams.path_stream(31, n, 0)
@@ -254,7 +318,6 @@ def test_evolve_draws_ahead_bitwise(mixture, n, n_steps, pool):
     for st, ref in zip(path.states, serial.states):
         assert st.t == ref.t
         assert np.array_equal(st.hu, ref.hu)
-        assert st.clamp_count == ref.clamp_count
     assert path.total_clamps == serial.total_clamps
     assert _philox(gen) == _philox(serial_gen)
 
@@ -332,8 +395,12 @@ def test_sigma_profile_recomputation(mixture):
     cfg = PathConfig(n=30, base_seed=11, schedule=geometric_uniform_schedule(1e-3, 150),
                      checkpoints=TERMINAL)
     st = evolve(mixture, cfg).states[0]
-    prof = sigma_profile(mixture, st)
-    assert np.array_equal(prof, st.sigma)
+    prof = st.sigma
+    # rebuilt from hu on each access, the same bits each time
+    assert prof is not st.sigma and np.array_equal(prof, st.sigma)
+    assert np.array_equal(prof, prof.T)
+    with pytest.raises(ValueError):
+        replace(st, t=0.0).sigma
     # spot check against the pointwise coefficient
     gen = streams.stream(11, streams.PURPOSE_PAIRS)
     for _ in range(100):
