@@ -24,13 +24,13 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .density import DensityError, DensitySpec, calibrate, verify_assumption
+from .density import DensityError, calibrate, verify_assumption
 from .domains import SpectralDomain, frozen_semicircle_drift, msc
 from .flows import contraction_check, flow_gamma, flow_lambda
 from .harness import (EXPERIMENT_NAMES, ConfigError, ExperimentConfig,
                       failure_fraction, run_experiments, spectral_lanes,
                       write_report_csv)
-from .resolvent import BLAS_PIN, blas_threads
+from .resolvent import blas_threads
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -87,7 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
 # ------------------------------------------------------------ config IO
 
 
-def _load_config(path):
+def _load_config(args):
+    """(config text, parsed document, ExperimentConfig, output directory):
+    every command validates the whole config the same way."""
+    path = args.config
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -98,19 +101,18 @@ def _load_config(path):
         raise CliError(f"malformed JSON in {path}: {exc}")
     if not isinstance(doc, Mapping):
         raise CliError("config root must be a JSON object")
-    return text, doc
-
-
-def _resolve_out(doc, args) -> Path:
     section = doc.get("output", {})
     if not isinstance(section, Mapping):
         raise CliError("output section must be an object")
     unknown = set(section) - {"dir"}
     if unknown:
         raise CliError(f"unknown keys in output section: {sorted(unknown)}")
-    if args.out is not None:
-        return Path(args.out)
-    return Path(section.get("dir", "out"))
+    try:
+        cfg = ExperimentConfig.from_sections(doc)
+    except ConfigError as exc:
+        raise CliError(str(exc))
+    out_dir = Path(args.out if args.out is not None else section.get("dir", "out"))
+    return text, doc, cfg, out_dir
 
 
 def _fresh_target(out_dir: Path, marker: str, overwrite: bool) -> Path:
@@ -144,18 +146,11 @@ def _now() -> str:
 
 
 def cmd_calibrate(args) -> int:
-    _text, doc = _load_config(args.config)
-    out_dir = _resolve_out(doc, args)
-    if "density" not in doc:
-        raise CliError("config is missing the density section")
-    try:
-        spec = DensitySpec.from_config(doc["density"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"bad density section: {exc}")
+    _text, _doc, cfg, out_dir = _load_config(args)
     report_path = _fresh_target(out_dir, "calibration.json", args.overwrite)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        cd = calibrate(spec)
+        cd = calibrate(cfg.density)
     except DensityError as exc:
         _write_json(report_path, {"passed": False,
                                   "error": type(exc).__name__,
@@ -173,10 +168,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    text, doc = _load_config(args.config)
-    out_dir = _resolve_out(doc, args)
+    text, doc, cfg, out_dir = _load_config(args)
     try:
-        cfg = ExperimentConfig.from_sections(doc)
         overrides = {"threads": args.threads if args.threads is not None
                      else len(os.sched_getaffinity(0))}
         if args.seed is not None:
@@ -238,7 +231,7 @@ def cmd_run(args) -> int:
         # what the numbers depend on besides the config; never in the outputs
         "environment": {
             "numpy": np.__version__, "scipy": scipy.__version__,
-            "blas_threads": blas_threads(), "blas_pin": BLAS_PIN,
+            "blas_threads": blas_threads(),
             "spectral_lanes": spectral_lanes(cfg.processes),
             "cpu_count": os.cpu_count(), "affinity": len(os.sched_getaffinity(0))},
         # what the run saw happen; never in the outputs either

@@ -154,6 +154,10 @@ class ExperimentConfig:
         self.experiments = tuple(str(e) for e in self.experiments)
         if not self.n_values or not self.experiments:
             raise ConfigError("n_values and the experiments to run must not be empty")
+        for name in ("n_values", "experiments"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} repeats an entry: {list(values)}")
         if len(self.W) != 2:
             raise ConfigError(f"W must be an interval [lo, hi], got {list(self.W)}")
         if self.base_seed < 0:
@@ -226,7 +230,7 @@ class ExperimentConfig:
         return min(self.threads, len(self.n_values) * self.trials)
 
     def path_config(self, n: int, trial: int, checkpoints: np.ndarray) -> PathConfig:
-        return PathConfig(n=n, base_seed=self.base_seed, trial=trial, t_init=self.t_init,
+        return PathConfig(n=n, base_seed=self.base_seed, trial=trial,
                           schedule=self.schedule(), checkpoints=checkpoints)
 
 
@@ -322,7 +326,7 @@ def aggregate_lsc(rows, trials):
     Shared by the lsc experiment and the acceptance suite so both see the
     identical reduction.  Returns (sup_table, per_n, fit); sup_table rows
     are (n, im_z, sup_err, normalizer), the points the slope is fitted
-    through.
+    through; fit is None with fewer than three points or no spread.
     """
     raw_per_n = {}
     for r in rows:
@@ -339,7 +343,11 @@ def aggregate_lsc(rows, trials):
                     "q95": float(np.quantile(e, 0.95)),
                     "observations": int(e.size),
                     "trials": trials}
-    return sup_table, per_n, fit_scaling([n * im for n, im in sups], list(sups.values()))
+    try:
+        fit = fit_scaling([n * im for n, im in sups], list(sups.values()))
+    except DegenerateFit:
+        fit = None
+    return sup_table, per_n, fit
 
 
 def _lsc_reduce(cfg, _cd, results):
@@ -348,7 +356,7 @@ def _lsc_reduce(cfg, _cd, results):
     return {"lsc": rows}, {
         "theta": cfg.theta,
         "grid_shape": [cfg.n_im, cfg.n_re],
-        "fit": fit.to_dict(),
+        "fit": fit.to_dict() if fit else None,
         "sup_table": [list(r) for r in sup_table],
         "per_n": {str(n): v for n, v in per_n.items()},
     }

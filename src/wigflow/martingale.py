@@ -19,8 +19,8 @@ trial's spectral lanes), the pool draws the next chunk while the caller
 applies the current one; the draws keep their order, and so their bits.
 
 The SDE is singular at t = 0 (the coefficient argument is 0/0), so paths
-are initialized at a small t_init > 0 by sampling the known marginal
-sqrt(t_init) * rho directly; the marginal law at every later grid time is
+are initialized at their schedule's first time t0 > 0 by sampling the known
+marginal sqrt(t0) * rho directly; the marginal law at every later grid time is
 then inherited from the construction rather than from integrating through
 the singular start.
 """
@@ -79,25 +79,23 @@ def checkpoint_times(schedule: np.ndarray, n_checkpoints: int = 51) -> np.ndarra
 
 @dataclass
 class PathConfig:
-    """Dimension, time grid, and stream identity of one matrix path."""
+    """Dimension, time grid, and stream identity of one matrix path; the path
+    starts at schedule[0] from its exact marginal."""
 
     n: int
     base_seed: int
     trial: int = 0
-    t_init: float = 1e-3
     schedule: np.ndarray = field(default=None)
     checkpoints: np.ndarray = field(default=None)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not 0.0 < self.t_init < 1.0:
-            raise ValueError("t_init must lie in (0, 1)")
         if self.schedule is None:
-            self.schedule = geometric_uniform_schedule(self.t_init)
+            self.schedule = geometric_uniform_schedule()
         self.schedule = np.asarray(self.schedule, dtype=float)
-        if self.schedule[0] != self.t_init:
-            raise ValueError("schedule must start at t_init")
+        if not 0.0 < self.schedule[0] < 1.0:
+            raise ValueError("schedule must start in (0, 1)")
         if np.any(np.diff(self.schedule) <= 0):
             raise ValueError("schedule must be strictly increasing")
         if self.schedule[-1] != 1.0:
@@ -268,8 +266,9 @@ def _normals(gen, size, steps, pool):
     """Each step's `size` normals from gen, in step order, for _Kernel.advance:
     the one source of the SDE's normals.
 
-    Steps come in chunks of at least _CHUNK normals, double buffered.  Without
-    a pool, the caller draws each chunk itself.  With one, chunk c + 1 goes to
+    Steps come in chunks of at least _CHUNK normals.  Without a pool, the
+    caller draws each chunk itself into one buffer: it has applied every row
+    before the next draw.  With one, double buffered, chunk c + 1 goes to
     the pool only once chunk c is drawn, so one draw at most is outstanding
     and the Philox stream is read in order.  The caller takes a chunk the pool
     has not started (future.cancel()) and draws it itself, otherwise waits for
@@ -278,11 +277,11 @@ def _normals(gen, size, steps, pool):
     out a draw still running.
     """
     per = -(-_CHUNK // size)   # whole steps per chunk
-    bufs = [np.empty((min(per, steps), size)) for _ in range(2)]
+    bufs = [np.empty((min(per, steps), size)) for _ in range(1 if pool is None else 2)]
     chunks = -(-steps // per)
 
     def chunk(c):
-        return bufs[c % 2][:min(per, steps - c * per)]
+        return bufs[c % len(bufs)][:min(per, steps - c * per)]
 
     ahead = np.random.Generator(gen.bit_generator)
     pending = None   # the draw of the chunk the caller reads next
@@ -321,7 +320,7 @@ def evolve(cd: CalibratedDensity, config: PathConfig,
         gen = streams.path_stream(config.base_seed, config.n, config.trial)
     sched = config.schedule
     is_checkpoint = np.isin(sched, config.checkpoints)
-    kernel = _Kernel.exact(cd, config.n, config.t_init, gen)
+    kernel = _Kernel.exact(cd, config.n, sched[0], gen)
     total_clamps = kernel.clamps
     states = []
     with closing(_normals(gen, kernel.hu.size, len(sched) - 1, pool)) as normals:

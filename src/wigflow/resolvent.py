@@ -13,8 +13,10 @@ for admissible profiles the gap concentrates at the (N Im z)^{-1/2} scale.
 The package reads G through EigenResolvent, one numpy eigendecomposition
 (GIL released) per matrix state; the residual-checked dense solve
 resolvent() is the oracle the tests hold it to.  Importing this module pins
-BLAS to one thread (pin_blas), so no output byte depends on the host's
-cores or BLAS environment; forked workers inherit the pin.
+the two OpenBLAS copies the numpy and scipy wheels bundle to one thread,
+through each one's own thread-count symbol (pin_blas), so no output byte
+depends on the host's cores or BLAS environment; forked workers inherit the
+pin.  A numpy or scipy built against another BLAS fails this import.
 """
 
 from __future__ import annotations
@@ -62,38 +64,24 @@ def _openblas_libraries() -> list:
 
 
 def blas_threads() -> dict:
-    """{BLAS library: the thread count read back from it}; threadpoolctl also
-    reads libraries other than the bundled OpenBLAS copies."""
-    if BLAS_PIN == "threadpoolctl":
-        from threadpoolctl import threadpool_info
-        return {os.path.basename(i["filepath"]): i["num_threads"]
-                for i in threadpool_info() if i["user_api"] == "blas"}
+    """{bundled OpenBLAS library: the thread count read back from it}."""
     return {name: getattr(lib, sym.format("get"))() for name, lib, sym in _openblas_libraries()}
 
 
-def pin_blas() -> str:
-    """Pin BLAS to one thread with threadpoolctl, else through ctypes; read
-    every library back, raise if one is not at 1, return the mechanism."""
-    global BLAS_PIN
+def pin_blas() -> None:
+    """Pin both bundled OpenBLAS copies to one thread through ctypes; read
+    each back, and raise if one is missing or not at 1."""
     libs = _openblas_libraries()
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(limits=1)
-        BLAS_PIN = "threadpoolctl"
-    except ImportError:
-        BLAS_PIN = "ctypes"
-        # one library per bundled copy: one not found would keep its default count
-        if [sym for *_, sym in libs] != [sym for *_, sym in _OPENBLAS]:
-            raise RuntimeError(f"BLAS not pinned by ctypes: found {[name for name, *_ in libs]}")
-        for _name, lib, sym in libs:
-            getattr(lib, sym.format("set"))(1)
+    # one library per bundled copy: one not found would keep its default count
+    if [sym for *_, sym in libs] != [sym for *_, sym in _OPENBLAS]:
+        raise RuntimeError(f"BLAS not pinned: found {[name for name, *_ in libs]}")
+    for _name, lib, sym in libs:
+        getattr(lib, sym.format("set"))(1)
     threads = blas_threads()
-    if not threads or set(threads.values()) != {1}:
-        raise RuntimeError(f"BLAS not pinned to one thread by {BLAS_PIN}: {threads}")
-    return BLAS_PIN
+    if set(threads.values()) != {1}:
+        raise RuntimeError(f"BLAS not pinned to one thread: {threads}")
 
 
-BLAS_PIN = None   # the mechanism pin_blas used
 pin_blas()
 
 

@@ -207,6 +207,9 @@ _MALFORMED = st.one_of(
     st.tuples(st.just("experiments"), st.just("n_values"),
               st.lists(st.integers(-5, 31), min_size=1, max_size=3)),
     st.tuples(st.just("experiments"), st.just("trials"), st.integers(-3, 0)),
+    # a repeated entry
+    st.tuples(st.just("experiments"), st.just("n_values"),
+              st.integers(64, 99).map(lambda n: [n, 96, n])),
     st.tuples(st.just("experiments"), st.just("marginal_times"),
               st.lists(st.floats(1.0, 9.0, exclude_min=True), min_size=1, max_size=2)),
     st.tuples(st.just("path"), st.just("n_checkpoints"), st.integers(-3, 1)),
@@ -225,6 +228,9 @@ def test_malformed_run_configs_exit1_and_write_nothing(corruption):
         out = tmp / "out"
         assert cli.main(["run", "--config", str(cfgp), "--out", str(out),
                          "--threads", "1"]) == 1
+        assert not out.exists()
+        # calibrate validates the whole config as run does
+        assert cli.main(["calibrate", "--config", str(cfgp), "--out", str(out)]) == 1
         assert not out.exists()
 
 
@@ -408,3 +414,19 @@ def test_run_excess_failures_exit3(tmp_path, monkeypatch):
     assert entry["status"] == "excess-failures"
     assert entry["failure_fraction"] == pytest.approx(0.5)
     assert manifest["exit_code"] == 3
+
+
+def test_run_lsc_two_point_grid_writes_null_fit(tmp_path):
+    # one N and two Im levels pass validation but give the slope fit two
+    # points: the fit is null, and the run completes
+    doc = smoke_doc(tmp_path / "out", n_values=[64], trials=1)
+    doc["domain"]["n_im"] = 2
+    cfgp = write_config(tmp_path, doc)
+    assert cli.main(["run", "--config", str(cfgp), "--threads", "1"]) == 0
+    out = tmp_path / "out"
+    summary = json.loads((out / "lsc-summary-11.json").read_text())
+    assert summary["fit"] is None
+    assert len(summary["sup_table"]) == 2 and summary["failures"] == []
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["experiments"]["lsc"]["outputs"] == ["lsc-64-11.csv",
+                                                        "lsc-summary-11.json"]

@@ -20,9 +20,9 @@ from scipy.integrate import trapezoid
 
 from wigflow.density import DensitySpec, calibrate
 from wigflow.domains import SpectralDomain, frozen_semicircle_drift, msc
-from wigflow.flows import (CharacteristicCurve, PathTraceEvaluator, SpectralLanes,
-                           contraction_check, drift_decomposition, flow_gamma,
-                           flow_lambda, map_to_initial, ODEStepFailure)
+from wigflow.flows import (PathTraceEvaluator, SpectralLanes, contraction_check,
+                           drift_decomposition, flow_gamma, flow_lambda,
+                           map_to_initial, ODEStepFailure)
 from wigflow.martingale import (PathConfig, checkpoint_times, evolve,
                                 geometric_uniform_schedule)
 

@@ -2,7 +2,6 @@
 
 import csv
 import filecmp
-import sys
 import threading
 import weakref
 from dataclasses import replace
@@ -97,6 +96,11 @@ def test_config_validation():
         small_config(trials=0)
     with pytest.raises(ConfigError):
         small_config(experiments=("lsc", "nope"))
+    # a repeated N or experiment would run its trials twice
+    with pytest.raises(ConfigError, match="n_values repeats"):
+        small_config(n_values=(48, 48))
+    with pytest.raises(ConfigError, match="experiments repeats"):
+        small_config(experiments=("lsc", "marginal", "lsc"))
     with pytest.raises(ConfigError):
         small_config(char_im=2.0)
     with pytest.raises(ConfigError):
@@ -386,10 +390,8 @@ def test_dense_solve_is_an_oracle_only(monkeypatch):
                 (st.error, st.normalizer, st.ratio), rel=1e-10, abs=0.0)
 
 
-def test_pool_pins_blas_without_threadpoolctl(monkeypatch, capsys):
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-    monkeypatch.setattr(resolvent_module, "BLAS_PIN", resolvent_module.BLAS_PIN)
-    assert resolvent_module.pin_blas() == "ctypes"
+def test_pool_pins_blas(capsys):
+    resolvent_module.pin_blas()
     threads = resolvent_module.blas_threads()
     assert threads and set(threads.values()) == {1}
     cfg = small_config(trials=2, threads=2)

@@ -47,7 +47,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PathConfig(n=0, base_seed=1)
     with pytest.raises(ValueError):
-        PathConfig(n=8, base_seed=1, t_init=0.0)
+        PathConfig(n=8, base_seed=1, schedule=np.array([0.0, 0.5, 1.0]))
     with pytest.raises(ValueError):
         PathConfig(n=8, base_seed=1, schedule=np.array([1e-3, 0.5, 0.9]))
 

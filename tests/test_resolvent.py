@@ -1,7 +1,6 @@
 """Resolvent algebra: exact identities, operators, concentration inputs."""
 
 import re
-import sys
 import types
 
 import numpy as np
@@ -261,8 +260,6 @@ def test_self_consistency_wigner_small():
 def test_blas_pin_fails_loudly(monkeypatch):
     from wigflow import resolvent as module
     found = module._openblas_libraries()
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-    monkeypatch.setattr(module, "BLAS_PIN", module.BLAS_PIN)
     # no library to pin
     monkeypatch.setattr(module, "_openblas_libraries", lambda: [])
     with pytest.raises(RuntimeError, match="not pinned"):
@@ -283,23 +280,3 @@ def test_blas_pin_fails_loudly(monkeypatch):
     monkeypatch.setattr(module, "_openblas_libraries", lambda: fakes)
     with pytest.raises(RuntimeError, match="'libfake1.so': 2"):
         module.pin_blas()
-
-
-def test_blas_pin_prefers_threadpoolctl(monkeypatch):
-    from wigflow import resolvent as module
-    calls = []
-
-    def threadpool_limits(limits=None):   # stand-ins that act through ctypes
-        calls.append(limits)
-        for _name, lib, sym in module._openblas_libraries():
-            getattr(lib, sym.format("set"))(limits)
-
-    def threadpool_info():
-        return [{"filepath": name, "num_threads": getattr(lib, sym.format("get"))(),
-                 "user_api": "blas"} for name, lib, sym in module._openblas_libraries()]
-    monkeypatch.setitem(sys.modules, "threadpoolctl", types.SimpleNamespace(
-        threadpool_limits=threadpool_limits, threadpool_info=threadpool_info))
-    monkeypatch.setattr(module, "BLAS_PIN", module.BLAS_PIN)
-    assert module.pin_blas() == "threadpoolctl"
-    assert calls == [1]
-    assert set(module.blas_threads().values()) == {1}
