@@ -191,7 +191,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_sections(cls, doc: Mapping) -> "ExperimentConfig":
-        """Build from a parsed JSON document with fixed top-level sections."""
+        """Build from a parsed JSON document with fixed top-level sections.
+
+        The output section is checked here and read by the command line."""
         if not isinstance(doc, Mapping):
             raise ConfigError("config document must be a JSON object")
         _reject_unknown("top-level", doc, _TOP_KEYS)
@@ -204,9 +206,13 @@ class ExperimentConfig:
         path = doc.get("path", {})
         domain = doc.get("domain", {})
         exper = doc.get("experiments", {})
+        output = doc.get("output", {})
         _reject_unknown("path", path, _PATH_KEYS)
         _reject_unknown("domain", domain, _DOMAIN_KEYS)
         _reject_unknown("experiments", exper, _EXPERIMENT_KEYS)
+        _reject_unknown("output", output, {"dir"})
+        if not isinstance(output.get("dir", ""), str):
+            raise ConfigError(f"output dir must be a string, got {output['dir']!r}")
         # path and domain keys are field names; two experiment keys are not
         kwargs = {"density": density, **path, **domain}
         renamed = {"seed": "base_seed", "run": "experiments"}
@@ -323,10 +329,9 @@ def _sup_of_medians(rows, col):
 def aggregate_lsc(rows, trials):
     """Median over trials per z, sup over Re per Im level, slope fit.
 
-    Shared by the lsc experiment and the acceptance suite so both see the
-    identical reduction.  Returns (sup_table, per_n, fit); sup_table rows
-    are (n, im_z, sup_err, normalizer), the points the slope is fitted
-    through; fit is None with fewer than three points or no spread.
+    Returns (sup_table, per_n, fit); sup_table rows are (n, im_z,
+    sup_err, normalizer), the points the slope is fitted through; fit is
+    None with fewer than three points or no spread.
     """
     raw_per_n = {}
     for r in rows:

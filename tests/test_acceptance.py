@@ -1,19 +1,20 @@
 """End-to-end acceptance: every numbered behavior contract at scale.
 
 The conftest hook turns these tests into the per-criterion summary table.
-Shared session fixtures hold the expensive ensembles: one set of mixture
-paths and one of gaussian paths at N in {125, 250, 500, 1000}, reused by
-the scaling criteria (8, 9, 10), plus one 50-trial characteristics report
-reused by criteria 6 and 7.  Ensemble realizations are identical to what
-the harness would draw for the same config because path streams depend
-only on (seed, N, trial); for the same reason every ensemble spreads its
-(N, trial) tasks over POOL forked processes without changing a statistic.
-BLAS runs at one thread, so processes are what use the cores.
+Session fixtures hold the expensive ensembles, each the Reports of one
+`run_experiments` call, so the scaling criteria measure the shipped
+pipeline: lsc runs of the mixture and the gaussian at N in {125, 250,
+500, 1000}, the mixture's with its t = 1 self-energy rows (criteria 8
+and 9), a mixture entrywise run at N = 500 (criterion 10), and one
+50-trial characteristics report (criteria 6 and 7).  The pipeline
+records a failed trial instead of raising, so every fixture checks that
+none failed: a failure would shrink its ensemble silently.  Each run
+spreads its trials over POOL forked processes; reports are byte
+identical at any pool size.  BLAS runs at one thread.
 """
 
 import filecmp
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -28,89 +29,52 @@ from wigflow import harness
 from wigflow.cli import stub_checks
 from wigflow.density import DensitySpec, calibrate
 from wigflow.domains import msc
-from wigflow.harness import (COLUMNS, EXPERIMENT_NAMES,
-                             ExperimentConfig, aggregate_entrywise,
-                             aggregate_lsc, domination_quantile,
-                             run_entrywise, run_experiments, write_report_csv)
+from wigflow.harness import (COLUMNS, EXPERIMENT_NAMES, ExperimentConfig,
+                             run_experiments, write_report_csv)
 from wigflow.martingale import PathConfig, evolve, geometric_uniform_schedule
-from wigflow.resolvent import (EigenResolvent, blas_threads, minor_resolvent,
-                               resolvent, self_energy_error,
-                               self_energy_from_diag, ward_check)
+from wigflow.resolvent import (blas_threads, minor_resolvent, resolvent,
+                               self_energy_error, ward_check)
 
 SEED = 2026
 N_VALUES = (125, 250, 500, 1000)
 TRIALS = 20
 MIX = DensitySpec.mixture((0.5, 0.5), (np.sqrt(0.5), np.sqrt(1.5)))
 TERMINAL = np.array([1.0])
-POOL = min(2, len(os.sched_getaffinity(0)))   # processes for the mixture ensemble
+POOL = min(2, len(os.sched_getaffinity(0)))   # trial processes of each run
+# characteristics runs here for its t = 1 self-energy rows alone, so the
+# paths keep the fewest checkpoints a config allows
+MIX_SCALING = ExperimentConfig(density=MIX, n_values=N_VALUES, trials=TRIALS,
+                               base_seed=SEED, n_steps=1000, n_checkpoints=2,
+                               threads=POOL,
+                               experiments=("lsc", "characteristics"))
 
 pytestmark = pytest.mark.acceptance
 
 _MAP_COL = dict(zip(COLUMNS["characteristics"], range(len(COLUMNS["characteristics"]))))
-_ENSEMBLE = None   # (cfg, cd, with_senergy), inherited by the forked workers
 
 
-def _trial_stats(task):
-    """Evolve one path and reduce it to small statistics.
-
-    The matrix is dropped right after use: only trace errors, self-energy
-    ratios, and N = 500 entrywise maxima are kept.
-    """
-    n, trial = task
-    cfg, cd, with_senergy = _ENSEMBLE
-    dom = cfg.domain(n)
-    path = evolve(cd, cfg.path_config(n, trial, checkpoints=TERMINAL))
-    H1, sig1 = path.states[-1].H, path.states[-1].sigma
-    er = EigenResolvent(H1)
-    lsc_rows, senergy, entry_rows = [], [], []
-    for z in dom.z_grid(8, 9).ravel():
-        gd = er.diag(z)
-        tm = complex(gd.mean())
-        lsc_rows.append((n, trial, float(z.real), float(z.imag),
-                         float(abs(tm - msc(z))),
-                         float(1.0 / np.sqrt(n * z.imag))))
-        if with_senergy:
-            senergy.append(self_energy_from_diag(sig1, gd, z).ratio)
-    if n == 500:
-        rep = run_entrywise(er, dom, n_im=8, n_re=3)
-        entry_rows.extend((n, trial) + r for r in rep.rows)
-    return lsc_rows, senergy, entry_rows
-
-
-def _ensemble_stats(spec, n_steps, with_senergy, processes=1):
-    """Evolve TRIALS paths per N; statistics are concatenated in task order."""
-    global _ENSEMBLE
-    _ENSEMBLE = (ExperimentConfig(density=spec, n_values=N_VALUES,
-                                  trials=TRIALS, base_seed=SEED,
-                                  n_steps=n_steps),
-                 calibrate(spec), with_senergy)
-    tasks = [(n, trial) for n in N_VALUES for trial in range(TRIALS)]
-    largest_first = sorted(tasks, key=lambda task: -task[0])
-    with multiprocessing.get_context("fork").Pool(processes) as pool:
-        results = dict(zip(largest_first, pool.map(_trial_stats, largest_first,
-                                                   chunksize=1)))
-    lsc_rows, senergy, entry_rows = [], {}, []
-    for n, trial in tasks:
-        lsc, sen, entry = results[n, trial]
-        lsc_rows.extend(lsc)
-        if with_senergy:
-            senergy.setdefault(n, []).extend(sen)
-        entry_rows.extend(entry)
-    return {"lsc_rows": lsc_rows, "senergy": senergy,
-            "entry_rows": entry_rows}
+def _run(cfg):
+    reports = run_experiments(cfg)
+    assert all(not rep.failures for rep in reports.values())
+    return reports
 
 
 @pytest.fixture(scope="session")
-def mixture_stats():
-    return _ensemble_stats(MIX, n_steps=1000, with_senergy=True,
-                           processes=POOL)
+def mixture():
+    return _run(MIX_SCALING)
 
 
 @pytest.fixture(scope="session")
-def gaussian_stats():
+def mixture_entrywise():
+    return _run(replace(MIX_SCALING, n_values=(500,), n_re=3,
+                        experiments=("entrywise",)))["entrywise"]
+
+
+@pytest.fixture(scope="session")
+def gaussian_lsc():
     # for constant diffusion the scheme is exact in law at any step count
-    return _ensemble_stats(DensitySpec.gaussian(), n_steps=50,
-                           with_senergy=False, processes=POOL)
+    return _run(replace(MIX_SCALING, density=DensitySpec.gaussian(), n_steps=50,
+                        experiments=("lsc",)))["lsc"]
 
 
 @pytest.fixture(scope="session")
@@ -120,22 +84,7 @@ def char_report():
                            n_checkpoints=26, n_im=4, n_re=9, char_im=0.5,
                            senergy_times=3, threads=POOL,
                            experiments=("characteristics",))
-    return cfg, run_experiments(cfg)["characteristics"]
-
-
-def test_fixture_trace_route_matches_lsc(monkeypatch):
-    # _trial_stats reads <G> as the mean of the eigh diagonal, the shipped
-    # lsc experiment as the mean over eigvalsh eigenvalues; criterion 9
-    # speaks for the shipped code only while the two agree
-    cfg = ExperimentConfig(density=MIX, n_values=(125,), trials=1,
-                           base_seed=SEED, n_steps=1000)
-    monkeypatch.setitem(globals(), "_ENSEMBLE", (cfg, calibrate(MIX), False))
-    fixture_rows, _senergy, _entry = _trial_stats((125, 0))
-    shipped = run_experiments(cfg)["lsc"].rows["lsc"]
-    assert len(shipped) == 8 * 9
-    assert [r[:4] for r in shipped] == [r[:4] for r in fixture_rows]
-    np.testing.assert_allclose([r[4] for r in fixture_rows],
-                               [r[4] for r in shipped], rtol=1e-10, atol=0.0)
+    return cfg, _run(cfg)["characteristics"]
 
 
 # --------------------------------------------------------------- 1 to 5
@@ -209,7 +158,6 @@ def test_criterion_05_stub_flow_closed_forms():
 
 def test_criterion_06_inverse_flow(char_report):
     cfg, rep = char_report
-    assert not rep.failures
     eta = cfg.domain(500).eta
     residual_limit = 10.0 / np.sqrt(500 * eta)
     rows = [r for r in rep.rows["characteristics"] if r[_MAP_COL["trial"]] < 10]
@@ -223,7 +171,6 @@ def test_criterion_06_inverse_flow(char_report):
 
 def test_criterion_07_constancy_and_contraction(char_report):
     _cfg, rep = char_report
-    assert not rep.failures
     ratios = [r[_MAP_COL["drift_ratio"]] for r in rep.rows["characteristics"]
               if r[_MAP_COL["in_D0"]] == 1]
     assert len(ratios) >= 50 * 9 * 0.95
@@ -238,15 +185,15 @@ def test_criterion_07_constancy_and_contraction(char_report):
 # ------------------------------------------------------ 8, 9, 10 (scaling)
 
 
-def _eps_hat(stats):
-    return {n: domination_quantile(stats["senergy"][n], 0.95, n)
-            for n in (250, 500, 1000)}
+def _senergy(reports, n):
+    """eps_hat and q95 = N**eps_hat of the t = 1 self-energy ratios at N."""
+    per_n = reports["characteristics"].stats["per_n"][str(n)]
+    return per_n["senergy_eps_hat"], per_n["senergy_ratio_q95"]
 
 
-def test_criterion_08_domination_bound(mixture_stats):
-    eps = _eps_hat(mixture_stats)
-    assert eps[1000] <= 0.3
-    q95 = float(np.quantile(mixture_stats["senergy"][1000], 0.95))
+def test_criterion_08_domination_bound(mixture):
+    eps, q95 = _senergy(mixture, 1000)
+    assert eps <= 0.3
     assert q95 <= 1000 ** 0.3
 
 
@@ -256,50 +203,45 @@ def test_criterion_08_domination_bound(mixture_stats):
 EPS_HAT_1000_BOUND = -0.16
 
 
-def test_criterion_08_domination_tight_bound(mixture_stats):
-    eps = _eps_hat(mixture_stats)
-    assert eps[1000] <= EPS_HAT_1000_BOUND
-    q95 = float(np.quantile(mixture_stats["senergy"][1000], 0.95))
+def test_criterion_08_domination_tight_bound(mixture):
+    eps, q95 = _senergy(mixture, 1000)
+    assert eps <= EPS_HAT_1000_BOUND
     assert q95 <= 1000 ** EPS_HAT_1000_BOUND
 
 
 @pytest.mark.xfail(strict=False, reason="finite-size exponent estimates "
                    "fluctuate by more than their N-trend at 20 trials; "
                    "see the decisions ledger")
-def test_criterion_08_domination_monotone(mixture_stats):
-    eps = _eps_hat(mixture_stats)
+def test_criterion_08_domination_monotone(mixture):
+    eps = {n: _senergy(mixture, n)[0] for n in (250, 500, 1000)}
     assert eps[250] >= eps[500] >= eps[1000]
 
 
 @pytest.mark.xfail(strict=False, reason="bulk trace errors concentrate at "
                    "the (N eta)^{-1} rate, steeper than the (N eta)^{-1/2} "
                    "envelope this band encodes; see the decisions ledger")
-def test_criterion_09_slope_band(mixture_stats, gaussian_stats):
-    for stats in (mixture_stats, gaussian_stats):
-        _sup, _per_n, fit = aggregate_lsc(stats["lsc_rows"], TRIALS)
-        assert abs(fit.slope + 0.5) <= 0.15
+def test_criterion_09_slope_band(mixture, gaussian_lsc):
+    for lsc in (mixture["lsc"], gaussian_lsc):
+        assert abs(lsc.stats["fit"]["slope"] + 0.5) <= 0.15
 
 
-def test_criterion_09_densities_agree(mixture_stats, gaussian_stats):
+def test_criterion_09_densities_agree(mixture, gaussian_lsc):
     # agreement check: the 95% confidence intervals of the two fitted
     # slopes overlap (gap below the sum of the half-widths)
-    _s, _p, fit_m = aggregate_lsc(mixture_stats["lsc_rows"], TRIALS)
-    _s, _p, fit_g = aggregate_lsc(gaussian_stats["lsc_rows"], TRIALS)
-    gap = abs(fit_m.slope - fit_g.slope)
-    assert gap <= 1.96 * (fit_m.stderr + fit_g.stderr)
+    fit_m, fit_g = mixture["lsc"].stats["fit"], gaussian_lsc.stats["fit"]
+    gap = abs(fit_m["slope"] - fit_g["slope"])
+    assert gap <= 1.96 * (fit_m["stderr"] + fit_g["stderr"])
 
 
 @pytest.mark.xfail(strict=False, reason="diagonal errors track the trace "
                    "and follow its steeper concentration rate; see the "
                    "decisions ledger")
-def test_criterion_10_diagonal_slope(mixture_stats):
-    fits = aggregate_entrywise(mixture_stats["entry_rows"])
-    assert abs(fits["diag"].slope + 0.5) <= 0.2
+def test_criterion_10_diagonal_slope(mixture_entrywise):
+    assert abs(mixture_entrywise.stats["fits"]["diag"]["slope"] + 0.5) <= 0.2
 
 
-def test_criterion_10_offdiagonal_slope(mixture_stats):
-    fits = aggregate_entrywise(mixture_stats["entry_rows"])
-    assert abs(fits["offdiag"].slope + 0.5) <= 0.2
+def test_criterion_10_offdiagonal_slope(mixture_entrywise):
+    assert abs(mixture_entrywise.stats["fits"]["offdiag"]["slope"] + 0.5) <= 0.2
 
 
 # ------------------------------------------------------------------- 11

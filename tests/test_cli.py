@@ -148,12 +148,20 @@ def test_no_command_exit1(capsys):
     assert "usage" in capsys.readouterr().err
 
 
-def test_unknown_output_key_exit1(tmp_path, capsys):
+@pytest.mark.parametrize("output", [{"dirr": "typo"}, {"dir": 5}, {"dir": None}],
+                         ids=["unknown-key", "int-dir", "null-dir"])
+@pytest.mark.parametrize("command", ["run", "calibrate"])
+def test_unknown_output_key_exit1(tmp_path, monkeypatch, capsys, command, output):
+    # no --out: the output section alone names the directory, or fails
+    monkeypatch.chdir(tmp_path)
     doc = smoke_doc(tmp_path / "out")
-    doc["output"]["dirr"] = "typo"
+    doc["output"] = output
     cfgp = write_config(tmp_path, doc)
-    assert cli.main(["run", "--config", str(cfgp)]) == 1
-    assert "dirr" in capsys.readouterr().err
+    assert cli.main([command, "--config", str(cfgp)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert next(iter(output)) in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

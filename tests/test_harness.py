@@ -372,22 +372,28 @@ def test_dense_solve_is_an_oracle_only(monkeypatch):
     reps = run_experiments(cfg)
     assert all(not rep.failures for rep in reps.values())
 
-    # the along-curve self-energy rows agree with the residual-checked solve
+    # the self-energy rows, at t = 1 and along the curves, and the lsc trace
+    # errors agree with the residual-checked solve
     cd = calibrate(cfg.density)
     times = harness.EXPERIMENTS["characteristics"].times(cfg)
-    along = [r for r in reps["characteristics"].rows["characteristics_senergy"]
-             if r[2] != 1.0]
-    assert {r[1] for r in along} == {0, 1}
+    senergy = reps["characteristics"].rows["characteristics_senergy"]
+    for at_end in (True, False):
+        assert {r[1] for r in senergy if (r[2] == 1.0) == at_end} == {0, 1}
     for trial in (0, 1):
         path = evolve(cd, cfg.path_config(64, trial, checkpoints=times))
         by_t = {s.t: s for s in path.states}
         for _n, _trial, t, re, im, error, normalizer, ratio in (
-                r for r in along if r[1] == trial):
+                r for r in senergy if r[1] == trial):
             state = by_t[t]
             st = self_energy_error(state.sigma, oracle(state.H, complex(re, im)))
             assert st.error > 0.0
             assert (error, normalizer, ratio) == pytest.approx(
                 (st.error, st.normalizer, st.ratio), rel=1e-10, abs=0.0)
+        for _n, _trial, re, im, abs_err, _norm in (
+                r for r in reps["lsc"].rows["lsc"] if r[1] == trial):
+            z = complex(re, im)
+            assert abs_err == pytest.approx(
+                abs(oracle(by_t[1.0].H, z).trace_mean - msc(z)), rel=1e-10, abs=0.0)
 
 
 def test_pool_pins_blas(capsys):
