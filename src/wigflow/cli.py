@@ -226,7 +226,7 @@ def cmd_run(args) -> int:
             "spectral_lanes": spectral_lanes(cfg.processes),
             "cpu_count": os.cpu_count(), "affinity": len(os.sched_getaffinity(0))},
         # what the run saw happen; never in the outputs either
-        "telemetry": {"sde_clamps": telemetry["sde_clamps"], "failures": failures},
+        "telemetry": {**telemetry, "failures": failures},
     }
     # every listed artifact exists before the manifest itself appears
     _write_json(out_dir / "manifest.json", manifest)

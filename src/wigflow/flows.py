@@ -17,8 +17,10 @@ Fields come in two flavors: the deterministic frozen-semicircle stand-in
 matrix path through eigenvalue tables at the checkpoint times and the
 midpoints the integrator visits.  The tables are states' spectra, which
 martingale computes and caches; SpectralLanes schedules them on a thread
-pool from the moment each checkpoint state exists, while the calling
-thread drains the rest newest first and stops at the first error.  The
+pool from the moment each checkpoint state exists.  The calling thread
+keeps the backlog to one checkpoint's pair of tables as it integrates, so
+that states whose matrices only the tables read can be released early,
+then drains the rest newest first and stops at the first error.  The
 same pool draws the path's SDE normals ahead while it integrates.
 """
 
@@ -62,10 +64,17 @@ class CharacteristicCurve:
         return complex(self.xi[-1])
 
 
+# Table jobs left waiting unstarted at each checkpoint: one checkpoint's
+# pair.  At N = 1000 a pair takes a lane about 0.24 s and a checkpoint comes
+# every 0.07 s, so unbounded, the backlog held ~36 checkpoints' matrices
+# when evolve ended.
+_BACKLOG = 2
+
+
 def _run(state, key, prev, scratch):
     """Decompose in the N x N buffer held in `scratch`: a pool thread's
-    dict, freed when the thread ends, or a drain's, freed when it returns
-    (one kept for the calling thread's life raised char-n1000 peak RSS 3%)."""
+    dict, freed when the thread ends, or the calling thread's, freed when
+    the block ends."""
     buf = scratch.get("buf")
     if buf is None or buf.shape[0] != state.n:
         buf = scratch["buf"] = np.empty((state.n, state.n))
@@ -78,7 +87,8 @@ class SpectralLanes:
     Used as a `with` block.  With lanes > 1, each queued job also goes to a
     ThreadPoolExecutor of lanes - 1 threads, which work from the front of
     the queue while the caller goes on (say, integrating the path whose
-    states it queues).  Leaving the block drains the queue (`drain`); an
+    states it queues).  The caller bounds the backlog from the back of the
+    queue (`catch_up`).  Leaving the block drains the queue (`drain`); an
     error inside the block cancels it.  Either way the pool is shut down:
     one lane starts no thread, and no thread outlives the block.
 
@@ -87,14 +97,17 @@ class SpectralLanes:
     key is already there (during evolve, every queued state is fresh).  Lane
     code calls numpy and private helpers only.  `pool` (None at one lane)
     also takes other work while the block runs: evolve draws the SDE normals
-    ahead on it, behind the spectral jobs queued so far.
+    ahead on it, behind the spectral jobs queued so far.  caller_jobs counts
+    the table jobs the calling thread ran.
     """
 
     def __init__(self, lanes: int):
         self.pool = ThreadPoolExecutor(lanes - 1) if lanes > 1 else None
         self._queue = []                    # (pool future or None, (state, key, prev))
         self._buffers = threading.local()   # each pool thread's scratch
+        self._scratch = {}                  # the caller's, for the block's life
         self._failed = threading.Event()    # a pool job raised
+        self.caller_jobs = 0
 
     def tables(self, prev, state) -> None:
         """Queue the trace tables read at `state`: the midpoint back to `prev`,
@@ -121,17 +134,41 @@ class SpectralLanes:
             self._failed.set()
             raise
 
+    def _run_here(self, job):
+        _run(*job, self._scratch)
+        self.caller_jobs += job[1] != "eigh"
+
+    def catch_up(self) -> None:
+        """Run queued table jobs on this thread, newest first, while more than
+        _BACKLOG of them wait unstarted; the integrating thread calls this at
+        each checkpoint.  At one lane every job waits until run here.  A pool
+        job's error stops it; the drain raises that error."""
+        while not self._failed.is_set():
+            waiting = [i for i, (future, job) in enumerate(self._queue) if job[1] != "eigh"
+                       and (future is None or not (future.running() or future.done()))]
+            if len(waiting) <= _BACKLOG:
+                return
+            future, job = self._queue[waiting[-1]]
+            if future is None or future.cancel():
+                del self._queue[waiting[-1]]
+                self._run_here(job)
+
+    def reading(self) -> set:
+        """ids of the states whose hu a queued job is yet to read: the job's
+        own state and its earlier checkpoint, until its table exists."""
+        return {id(s) for _future, (state, key, prev) in self._queue
+                if key not in state.spectra for s in (state, prev)}
+
     def drain(self) -> None:
         """Run, newest first, every queued job no pool thread has started, then
         wait for the rest; leaving the block calls this.  The first job error,
         on either side, ends the drain: jobs not started by then never start,
         and the error is raised."""
-        scratch = {}
         for future, job in reversed(self._queue):
             if self._failed.is_set():
                 break
             if future is None or future.cancel():
-                _run(*job, scratch)
+                self._run_here(job)
         for future, _job in self._queue:
             if future is not None and not future.cancelled():
                 future.result()
@@ -144,6 +181,7 @@ class SpectralLanes:
             if exc_type is None:
                 self.drain()
         finally:
+            self._scratch.clear()
             if self.pool is not None:
                 self.pool.shutdown(wait=True, cancel_futures=True)
         return False
@@ -157,7 +195,8 @@ class PathTraceEvaluator:
     interpolated linearly between checkpoints.  The tables are the states'
     spectra, which a run fills while the path integrates; missing ones are
     computed here.  Off-table times (reached only by stopping-time
-    bisection) decompose on demand and join the evaluator's tables.
+    bisection) decompose on demand and join the evaluator's tables; they
+    read the packed matrices, so a released state is replayed first.
     """
 
     def __init__(self, path: MatrixPath):

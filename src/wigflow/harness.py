@@ -18,7 +18,11 @@ only its own checkpoint states.  Each kept state goes to the trial's
 spectral lanes as soon as it exists: the trace tables of the experiments
 that read them, and the t = 1 eigh basis.  The lanes work while the path
 integrates, and also draw its SDE normals ahead; they are drained before
-any experiment reads the path.  A
+any experiment reads the path.  At each checkpoint the integrating thread
+keeps the lanes' backlog to one checkpoint's tables and releases each
+state whose matrix no experiment reads, only its tables, once those exist
+(the next checkpoint's midpoint table included), so a trial holds a few
+matrices beyond the ones it reads.  A
 failure to evolve or to decompose fails the trial for every experiment, a
 failure to read it for that experiment only.  The surviving results of
 each experiment are reduced into one Report.
@@ -273,10 +277,17 @@ def fit_scaling(xs: Sequence[float], ys: Sequence[float]) -> ScalingFit:
     lx, ly = np.log(x), np.log(y)
     if np.ptp(lx) == 0.0:
         raise DegenerateFit("predictor has zero spread")
-    from scipy import stats   # imported on use: it takes half of the start-up
-    res = stats.linregress(lx, ly)
-    return ScalingFit(slope=float(res.slope), intercept=float(res.intercept),
-                      stderr=float(res.stderr), n_points=int(x.size))
+    # scipy.stats.linregress's operations in its order, so its slope,
+    # intercept and stderr bit for bit, without importing scipy.stats
+    ssxm, ssxym, _, ssym = np.cov(lx, ly, bias=1).flat
+    if ssym == 0.0:
+        r = np.nan if ssxym == 0 else 0.0
+    else:
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    slope = ssxym / ssxm
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / (x.size - 2))
+    return ScalingFit(slope=float(slope), intercept=float(np.mean(ly) - slope * np.mean(lx)),
+                      stderr=float(stderr), n_points=int(x.size))
 
 
 def domination_quantile(ratios: Sequence[float], q: float, n: int) -> float:
@@ -478,6 +489,18 @@ def _entrywise_reduce(_cfg, _cd, results):
 # ------------------------------------------------------- characteristic
 
 
+def _senergy_checkpoints(cfg, m):
+    """Indices k in 1..m - 1 of the ode grid (0 plus m checkpoints) whose
+    states, path.states[k - 1], the interior self-energy rows read."""
+    return sorted(set(np.linspace(1, m - 1, cfg.senergy_times).astype(int)))
+
+
+def _characteristic_matrices(cfg, times):
+    """The checkpoints whose matrices _characteristic_trial reads: t = 1
+    and the interior self-energy checkpoints."""
+    return times[[-1] + [k - 1 for k in _senergy_checkpoints(cfg, times.size)]]
+
+
 def _characteristic_trial(cfg, n, trial, path):
     """Invert the flow from Im z = char_im, then run the forward curves.
 
@@ -528,7 +551,7 @@ def _characteristic_trial(cfg, n, trial, path):
     # and along two curves at thinned interior checkpoints, one basis per
     # checkpoint shared by both, V∘V alone (only diag is read), never two at
     # once; rows stay curve by curve
-    idxs = sorted(set(np.linspace(1, tg.size - 2, cfg.senergy_times).astype(int)))
+    idxs = _senergy_checkpoints(cfg, len(path.states))
     along = [(curves[ci], []) for ci in (0, cfg.n_re // 2) if curves[ci] is not None]
     for k in idxs:
         er = dev = None   # the last basis and sigma go before the next comes
@@ -606,6 +629,8 @@ class _Experiment:
     order, into rows per CSV table and the summary statistics.  tables
     and basis say whether trial reads the trace tables of its checkpoints
     and the eigh basis of the t = 1 state, which the lanes then prepare.
+    matrices(cfg, times) are the checkpoints whose matrices trial reads,
+    by default all of them; it reads the others through their tables alone.
     """
 
     times: Callable
@@ -613,6 +638,7 @@ class _Experiment:
     reduce: Callable
     tables: bool = False
     basis: bool = False
+    matrices: Callable = lambda _cfg, times: times
 
 
 def _terminal(_cfg):
@@ -623,7 +649,8 @@ EXPERIMENTS = {
     "lsc": _Experiment(_terminal, _lsc_trial, _lsc_reduce),
     "characteristics": _Experiment(
         lambda cfg: checkpoint_times(cfg.schedule(), n_checkpoints=cfg.n_checkpoints),
-        _characteristic_trial, _characteristic_reduce, tables=True, basis=True),
+        _characteristic_trial, _characteristic_reduce, tables=True, basis=True,
+        matrices=_characteristic_matrices),
     "marginal": _Experiment(
         lambda cfg: np.array(nearest_schedule_times(cfg.schedule(), cfg.marginal_times)),
         _marginal_trial, _marginal_reduce),
@@ -674,6 +701,8 @@ class Report:
 
 
 _STATE = None   # (cd, cfg, plan, checkpoints) for the current trial map
+# run telemetry: the totals of the counts each trial returns, in their order
+_COUNTS = ("sde_clamps", "matrices_released", "matrices_replayed", "caller_table_jobs")
 
 
 def spectral_lanes(processes: int) -> int:
@@ -702,12 +731,23 @@ def _failure(n, trial, exc):
                         traceback="".join(traceback.format_exception(exc)))
 
 
-def _handoff(lanes, plan):
+def _tables_only(cfg, plan) -> set:
+    """The checkpoints read only through their trace tables: in the view of
+    an experiment with tables, and no experiment reads their matrices."""
+    tabled = {t for exp, times in plan if exp.tables for t in times.tolist()}
+    return tabled.difference(*(exp.matrices(cfg, times).tolist() for exp, times in plan))
+
+
+def _handoff(lanes, plan, release=frozenset()):
     """What evolve does with each state it keeps: queue the trace tables of
     the experiments that read them, between consecutive checkpoints of
-    their own view, then the t = 1 basis if read (the drain's first job)."""
+    their own view, then the t = 1 basis if read (the drain's first job).
+    Then, on the integrating thread, keep the lanes' backlog bounded and
+    release each state at a `release` time once no table still to come
+    reads it: its own two and the next view checkpoint's midpoint table."""
     basis = any(exp.basis for exp, _times in plan)
     views = [[set(times.tolist()), None] for exp, times in plan if exp.tables]
+    held = []   # states at release times, hu kept so far
 
     def keep(state):
         for view in views:   # [checkpoint times, the last state queued]
@@ -716,29 +756,44 @@ def _handoff(lanes, plan):
                 view[1] = state
         if basis and state.t == 1.0:
             lanes.basis(state)
+        lanes.catch_up()
+        if state.t in release:
+            held.append(state)
+        busy = lanes.reading() | {id(view[1]) for view in views}
+        for s in [s for s in held if id(s) not in busy]:
+            s.release()
+            held.remove(s)
     return keep
 
 
 def _trial(task):
     """Evolve one path, its spectral work queued on the lanes as it goes and
     its normals drawn ahead there, and hand each experiment a view of its
-    checkpoints.  Returns the path's
-    clamp count (0 if it failed) and one result or failure per experiment."""
+    checkpoints.  States read only through their tables are released as
+    the tables appear, and all of them once the lanes are drained.  Returns
+    the path's counts, (SDE clamps, matrices released, matrices replayed,
+    table jobs the calling thread ran), all 0 if it failed, and one result
+    or failure per experiment."""
     n, trial = task
     cd, cfg, plan, checkpoints = _STATE
+    release = _tables_only(cfg, plan)
     try:
         with SpectralLanes(spectral_lanes(cfg.processes)) as lanes:
             path = evolve(cd, cfg.path_config(n, trial, checkpoints=checkpoints),
-                          on_checkpoint=_handoff(lanes, plan), pool=lanes.pool)
+                          on_checkpoint=_handoff(lanes, plan, release), pool=lanes.pool)
     except Exception as exc:
-        return 0, [_failure(n, trial, exc)] * len(plan)
+        return (0, 0, 0, 0), [_failure(n, trial, exc)] * len(plan)
+    for state in path.states:
+        if state.t in release:
+            state.release()   # every table exists now
     out = []
     for exp, times in plan:
         try:
             out.append(exp.trial(cfg, n, trial, path.view(times)))
         except Exception as exc:
             out.append(_failure(n, trial, exc))
-    return path.total_clamps, out
+    return (path.total_clamps, path.replay.released, path.replay.replayed,
+            lanes.caller_jobs), out
 
 
 def run_experiments(config: ExperimentConfig, cd: CalibratedDensity | None = None,
@@ -747,8 +802,12 @@ def run_experiments(config: ExperimentConfig, cd: CalibratedDensity | None = Non
 
     Each (N, trial) path is integrated once, on the union of the
     checkpoints the experiments read.  Returns {name: Report} in the
-    order of config.experiments.  A telemetry dict, if given, receives
-    `sde_clamps`: the SDE entries clamped over every evolved path.
+    order of config.experiments.  A telemetry dict, if given, receives run
+    totals over every evolved path: `sde_clamps`, the SDE entries clamped;
+    `matrices_released` and `matrices_replayed`, the checkpoint matrices
+    dropped once their tables existed and those a later read integrated
+    again; and `caller_table_jobs`, the table jobs the integrating thread
+    ran rather than a lane.
     """
     if cd is None:
         cd = calibrate(config.density)
@@ -756,10 +815,10 @@ def run_experiments(config: ExperimentConfig, cd: CalibratedDensity | None = Non
             for name in config.experiments]
     checkpoints = np.unique(np.concatenate([times for _exp, times in plan]))
     tasks = [(n, t) for n in config.n_values for t in range(config.trials)]
-    clamps, results = zip(*_map_trials(_trial, (cd, config, plan, checkpoints),
+    counts, results = zip(*_map_trials(_trial, (cd, config, plan, checkpoints),
                                        config.processes, tasks))
     if telemetry is not None:
-        telemetry["sde_clamps"] = int(sum(clamps))
+        telemetry.update((key, int(sum(c))) for key, c in zip(_COUNTS, zip(*counts)))
     reports = {}
     for i, (name, (exp, _times)) in enumerate(zip(config.experiments, plan)):
         done, failures = [], []

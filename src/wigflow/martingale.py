@@ -10,13 +10,17 @@ so that H(1) is a Wigner matrix with entry law rho and entry variance 1/N.
 The instantaneous variance rates sigma_ij = a(sqrt(N/t) H_ij)/N form the
 profile that feeds the self-energy operator.  A state stores the upper
 triangle of H alone (4 MB at N = 1000) and rebuilds H and sigma from it on
-each access, at O(N^2) cost.  Every eigendecomposition of a state comes
-from one routine, _spectrum, and is kept in one cache, state.spectra.  One
-kernel advances matrix paths, single steps and scalar paths, in cache-sized
-blocks of entries, on the normals _normals draws a chunk of steps at a time.
-They do not depend on the state, so when evolve is given a thread pool (a
-trial's spectral lanes), the pool draws the next chunk while the caller
-applies the current one; the draws keep their order, and so their bits.
+each access, at O(N^2) cost.  A state whose matrix is read only through
+its spectra may release the triangle once they exist; reading it again
+integrates the path once more from its own stream (_Replay), which
+restores every released triangle of the path bit for bit.  Every
+eigendecomposition of a state comes from one routine, _spectrum, and is
+kept in one cache, state.spectra.  One kernel advances matrix paths,
+single steps and scalar paths, in cache-sized blocks of entries, on the
+normals _normals draws a chunk of steps at a time.  They do not depend
+on the state, so when evolve is given a thread pool (a trial's spectral
+lanes), the pool draws the next chunk while the caller applies the
+current one; the draws keep their order, and so their bits.
 
 The SDE is singular at t = 0 (the coefficient argument is 0/0), so paths
 are initialized at their schedule's first time t0 > 0 by sampling the known
@@ -30,7 +34,6 @@ from __future__ import annotations
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from math import isqrt
 
 import numpy as np
 
@@ -110,21 +113,38 @@ class PathConfig:
 
 @dataclass
 class MatrixState:
-    """H(t) as its upper triangle hu in np.triu_indices order, 4 MB at N = 1000.
-    H (exactly symmetric) and sigma, the kernel's a(sqrt(N/t) H)/N bit for
-    bit, are rebuilt per access by _unpack.  spectra holds each decomposition
-    _spectrum made: "eigvalsh" and "eigh" (a full basis) of H, and under an
-    earlier checkpoint time t0 of the same path, the eigvalsh table of the
-    state halfway back to it (t0 = 0: half of H)."""
+    """H(t) of an n x n path as its upper triangle hu in np.triu_indices order,
+    4 MB at N = 1000.  H (exactly symmetric) and sigma, the kernel's
+    a(sqrt(N/t) H)/N bit for bit, are rebuilt per access by _unpack.  spectra
+    holds each decomposition _spectrum made: "eigvalsh" and "eigh" (a full
+    basis) of H, and under an earlier checkpoint time t0 of the same path,
+    the eigvalsh table of the state halfway back to it (t0 = 0: half of H).
+
+    release() drops hu and keeps the spectra; the next read of hu, H or sigma
+    replays the path (_Replay) to restore it.  A state of a path drawn from a
+    caller's generator has no replay, and releasing it raises."""
 
     t: float
-    hu: np.ndarray
+    n: int
+    _hu: np.ndarray = field(repr=False)
     density: CalibratedDensity = field(repr=False, compare=False)
     spectra: dict = field(default_factory=dict, repr=False, compare=False)
+    _replay: "_Replay | None" = field(default=None, repr=False, compare=False)
 
     @property
-    def n(self) -> int:
-        return (isqrt(8 * self.hu.size + 1) - 1) // 2
+    def hu(self) -> np.ndarray:
+        if self._hu is None:
+            self._replay.restore()
+        return self._hu
+
+    def release(self) -> None:
+        """Drop hu, spectra kept; nothing happens if it is already dropped."""
+        if self._replay is None:
+            raise ValueError("a path drawn from a caller's generator cannot be replayed")
+        if self._hu is not None:
+            self._hu = None
+            self._replay.held.append(self)
+            self._replay.released += 1
 
     @property
     def H(self) -> np.ndarray:
@@ -146,13 +166,36 @@ class MatrixState:
         return _spectrum(self, "eigh")
 
 
+class _Replay:
+    """A path's own stream, integrated once more on demand: restore() runs
+    evolve on the released states' times alone, with no pool, and gives each
+    its hu back.  evolve's states do not depend on which checkpoints are
+    kept, so the triangles are the released ones bit for bit.  Replays run
+    on the reading thread only; released and replayed count triangles."""
+
+    def __init__(self, cd: CalibratedDensity, config: PathConfig):
+        self.cd, self.config = cd, config
+        self.held = []   # released states, hu dropped
+        self.released = self.replayed = 0
+
+    def restore(self) -> None:
+        held = sorted(self.held, key=lambda s: s.t)
+        again = evolve(self.cd, replace(self.config, checkpoints=np.array([s.t for s in held])))
+        for s, fresh in zip(held, again.states):
+            s._hu = fresh._hu
+        self.replayed += len(held)
+        self.held = []
+
+
 @dataclass
 class MatrixPath:
-    """Checkpoint states of one trial, in increasing time order."""
+    """Checkpoint states of one trial, in increasing time order; replay (None
+    for a path drawn from a caller's generator) restores released states."""
 
     config: PathConfig
     states: list
     total_clamps: int = 0
+    replay: _Replay | None = field(default=None, repr=False)
 
     @property
     def times(self) -> np.ndarray:
@@ -163,7 +206,8 @@ class MatrixPath:
         keep = set(times)
         states = [s for s in self.states if s.t in keep]
         config = replace(self.config, checkpoints=np.array([s.t for s in states]))
-        return MatrixPath(config=config, states=states, total_clamps=self.total_clamps)
+        return MatrixPath(config=config, states=states, total_clamps=self.total_clamps,
+                          replay=self.replay)
 
 
 # the n x n upper-triangle mask: its True entries, row by row, are hu's order
@@ -239,8 +283,9 @@ class _Kernel:
             self.clamps += self.cd.a_clamped(x, out=x, work=self.work[:, :su.size])[1]
             su /= self.n
 
-    def state(self) -> MatrixState:
-        return MatrixState(t=self.t, hu=self.hu.copy(), density=self.cd)
+    def state(self, replay=None) -> MatrixState:
+        return MatrixState(t=self.t, n=self.n, _hu=self.hu.copy(), density=self.cd,
+                           _replay=replay)
 
 
 def init_exact(cd: CalibratedDensity, n: int, t_init: float,
@@ -310,14 +355,18 @@ def evolve(cd: CalibratedDensity, config: PathConfig,
     alone.  The random draws do not depend on the checkpoints, so a state
     is the same bit for bit whichever other checkpoints are kept.
     on_checkpoint(state), if given, receives each kept state as soon as it
-    exists, while the integration goes on; its hu is never written again.
+    exists, while the integration goes on; its hu is never written again,
+    though it may be released.  A path drawn from its own stream (gen None)
+    can replay released states; one drawn from gen cannot.
     The normals come from _normals a chunk of steps at a time.  pool, a
     concurrent.futures executor if given, draws the next chunk while this
     thread applies the current one; the states are the same bit for bit, and
     no draw outlives the call.
     """
+    replay = None
     if gen is None:
         gen = streams.path_stream(config.base_seed, config.n, config.trial)
+        replay = _Replay(cd, config)
     sched = config.schedule
     is_checkpoint = np.isin(sched, config.checkpoints)
     kernel = _Kernel.exact(cd, config.n, sched[0], gen)
@@ -329,10 +378,11 @@ def evolve(cd: CalibratedDensity, config: PathConfig,
                 kernel.advance(sched[k] - sched[k - 1], sched[k], next(normals))
                 total_clamps += kernel.clamps
             if is_checkpoint[k]:
-                states.append(kernel.state())
+                states.append(kernel.state(replay))
                 if on_checkpoint is not None:
                     on_checkpoint(states[-1])
-    return MatrixPath(config=config, states=states, total_clamps=total_clamps)
+    return MatrixPath(config=config, states=states, total_clamps=total_clamps,
+                      replay=replay)
 
 
 def evolve_scalar(cd: CalibratedDensity, t_grid: np.ndarray,

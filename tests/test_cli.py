@@ -245,6 +245,35 @@ def test_malformed_run_configs_exit1_and_write_nothing(corruption):
 # ------------------------------------------------------------ cmd_run
 
 
+def test_run_manifest_counts_released_and_replayed_matrices(tmp_path, monkeypatch):
+    # the manifest's telemetry totals the matrices each path released once its
+    # trace tables existed, those integrated again, and the table jobs the
+    # integrating thread ran; the lane count changes none of the outputs
+    doc = smoke_doc(tmp_path / "unused", run=["characteristics"], senergy_times=2)
+    cfgp = write_config(tmp_path, doc)
+    outputs = {}
+    for lanes in (1, 2):
+        monkeypatch.setattr(harness, "spectral_lanes", lambda processes, _lanes=lanes: _lanes)
+        out = tmp_path / f"lanes{lanes}"
+        assert cli.main(["run", "--config", str(cfgp), "--threads", "1",
+                         "--out", str(out)]) == 0
+        telemetry = json.loads((out / "manifest.json").read_text())["telemetry"]
+        outputs[lanes] = {p.name: p.read_bytes() for p in out.iterdir()
+                          if p.name != "manifest.json"}
+        cfg = harness.ExperimentConfig.from_sections(doc)
+        exp = harness.EXPERIMENTS["characteristics"]
+        times = exp.times(cfg)
+        paths = len(cfg.n_values) * cfg.trials
+        released = len(times) - len(exp.matrices(cfg, times))
+        assert set(telemetry) == {"sde_clamps", "matrices_released", "matrices_replayed",
+                                  "caller_table_jobs", "failures"}
+        assert telemetry["matrices_released"] == paths * released > 0
+        assert telemetry["matrices_replayed"] == 0
+        jobs = telemetry["caller_table_jobs"]
+        assert jobs == 2 * paths * len(times) if lanes == 1 else 0 <= jobs <= 2 * paths * len(times)
+    assert outputs[1] == outputs[2] and len(outputs[1]) == 3 * 2 + 1   # tables x N, summary
+
+
 def test_run_all_manifest_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "out1"
     doc = smoke_doc(out1, char_im=0.5, senergy_times=2,
@@ -257,7 +286,9 @@ def test_run_all_manifest_and_determinism(tmp_path, capsys):
                                             "marginal", "entrywise"}
     assert manifest["config_echo"] == cfgp.read_text(encoding="utf-8")
     assert manifest["seed"] == 11 and manifest["exit_code"] == 0
-    assert manifest["telemetry"] == {"sde_clamps": 0, "failures": {
+    telemetry = manifest["telemetry"]
+    assert telemetry.pop("matrices_released") > 0 and telemetry.pop("caller_table_jobs") >= 0
+    assert telemetry == {"sde_clamps": 0, "matrices_replayed": 0, "failures": {
         name: [] for name in manifest["experiments"]}}
     for entry in manifest["experiments"].values():
         assert entry["status"] == "ok"

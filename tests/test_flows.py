@@ -191,6 +191,41 @@ def test_evaluator_midpoints_and_inserts(gauss_path, monkeypatch):
         ev(1.5, z)
 
 
+def test_released_states_replay_once_bit_for_bit(gauss_path, monkeypatch):
+    # states read only through their tables drop their matrices; an off-table
+    # insert and a stopping curve then integrate the path once more, from its
+    # own stream, and read the same bits as on the path that kept them
+    from wigflow import martingale
+    cd, path = gauss_path
+    fresh = evolve(cd, path.config)
+    ev, ev_kept = PathTraceEvaluator(fresh), PathTraceEvaluator(path)
+    released = fresh.states[:-1]
+    for s in released:
+        s.release()
+    runs, real = [], martingale.evolve
+
+    def counted(cd, config, *args, **kwargs):
+        runs.append(config.checkpoints)
+        return real(cd, config, *args, **kwargs)
+    monkeypatch.setattr(martingale, "evolve", counted)
+    assert fresh.states[0].n == 60 and runs == []   # n never touches the matrix
+    ta, tb = path.times[3], path.times[4]
+    t = ta + 0.37 * (tb - ta)
+    assert np.array_equal(ev._eigenvalues(t), ev_kept._eigenvalues(t))
+    assert len(runs) == 1 and np.array_equal(runs[0], path.times[:-1])
+    assert all(a.hu.tobytes() == b.hu.tobytes() for a, b in zip(fresh.states, path.states))
+    assert (fresh.replay.released, fresh.replay.replayed) == (len(released),) * 2
+    # released again: a stopping curve bisects off the tables, one replay
+    for s in released:
+        s.release()
+    dom = SpectralDomain(n=60)
+    c = flow_gamma(PathTraceEvaluator(fresh), 0.3 + 0.9j, dom, ev.ode_times)
+    kept = flow_gamma(PathTraceEvaluator(path), 0.3 + 0.9j, dom, ev.ode_times)
+    assert c.stopped and c.tau == kept.tau
+    assert np.array_equal(c.xi, kept.xi) and np.array_equal(c.r, kept.r)
+    assert len(runs) == 2
+
+
 @pytest.mark.parametrize("lanes", [1, 2])
 def test_spectral_lanes_raise_and_join(gauss_path, monkeypatch, lanes):
     cd, path = gauss_path

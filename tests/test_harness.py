@@ -2,6 +2,8 @@
 
 import csv
 import filecmp
+import itertools
+import sys
 import threading
 import weakref
 from dataclasses import replace
@@ -547,7 +549,146 @@ def test_telemetry_counts_clamps_of_every_path():
     assert not reps["lsc"].failures
     want = sum(evolve(cd, cfg.path_config(64, t, checkpoints=np.array([1.0]))).total_clamps
                for t in range(cfg.trials))
-    assert telemetry == {"sde_clamps": want} and want > 0
+    assert telemetry == {"sde_clamps": want, "matrices_released": 0, "matrices_replayed": 0,
+                         "caller_table_jobs": 0} and want > 0
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_trial_bounds_backlog_and_releases_tables_only_states(monkeypatch, lanes):
+    # the pool thread is held in its first decomposition until evolve ends,
+    # so the integrating thread runs the table jobs: at every checkpoint at
+    # most two wait unstarted and at most three matrices beyond the kept ones
+    # (those a trial reads) are live; after the block every state read only
+    # through its tables is released, and no trial reads one again
+    cfg = _mixture_all_config(n_values=(48,), trials=1, n_checkpoints=21)
+    cd = calibrate(cfg.density)
+    plan = [(exp, exp.times(cfg)) for exp in harness.EXPERIMENTS.values()]
+    checkpoints = np.unique(np.concatenate([times for _exp, times in plan]))
+    release = harness._tables_only(cfg, plan)
+    tabled = harness.EXPERIMENTS["characteristics"].times(cfg)
+    assert 10 < len(release) < tabled.size
+    gate, real_eigvalsh, real_evolve = threading.Event(), np.linalg.eigvalsh, harness.evolve
+
+    def held(a, *args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            gate.wait(timeout=60)
+        return real_eigvalsh(a, *args, **kwargs)
+
+    made, seen, paths = [], [], []
+
+    class Recorded(SpectralLanes):
+        def __init__(self, n):
+            super().__init__(n)
+            made.append(self)
+
+    def watched(cd, pc, gen=None, on_checkpoint=None, pool=None):
+        states = []
+
+        def keep(state):
+            on_checkpoint(state)
+            states.append(state)
+            waiting = [job for future, job in made[-1]._queue if job[1] != "eigh"
+                       and (future is None or not (future.running() or future.done()))]
+            live = sum(s._hu is not None for s in states)
+            seen.append((len(waiting), live - sum(s.t not in release for s in states)))
+        try:
+            paths.append(real_evolve(cd, pc, gen, keep, pool))
+        finally:
+            gate.set()
+        return paths[-1]
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", held)
+    monkeypatch.setattr(harness, "SpectralLanes", Recorded)
+    monkeypatch.setattr(harness, "spectral_lanes", lambda processes: lanes)
+    monkeypatch.setattr(harness, "evolve", watched)
+    monkeypatch.setattr(harness, "_STATE", (cd, cfg, plan, checkpoints))
+    (clamps, released, replayed, caller_jobs), out = harness._trial((48, 0))
+    assert not any(isinstance(res, TrialFailure) for res in out)
+    assert len(seen) == checkpoints.size
+    assert max(waiting for waiting, _extra in seen) <= 2
+    assert max(extra for _waiting, extra in seen) <= 3
+    path = paths[0]
+    assert sorted(s.t for s in path.states if s._hu is None) == sorted(release)
+    assert (clamps, released, replayed) == (path.total_clamps, len(release), 0)
+    if lanes == 1:
+        assert caller_jobs == 2 * tabled.size
+    # the results are those of the unreleased path
+    monkeypatch.undo()
+    kept = evolve(cd, cfg.path_config(48, 0, checkpoints=checkpoints))
+    for (exp, times), res in zip(plan, out):
+        assert repr(res) == repr(exp.trial(cfg, 48, 0, kept.view(times)))
+
+
+def test_catch_up_and_release_under_stress(monkeypatch):
+    # more lanes than cores and a short switch interval while the integrating
+    # thread catches up and releases states: no lane reads a released matrix,
+    # and every table is the one built afterwards, bit for bit
+    cfg = _mixture_all_config(n_values=(48,), trials=1, n_checkpoints=21)
+    cd = calibrate(cfg.density)
+    plan = [(exp, exp.times(cfg)) for exp in harness.EXPERIMENTS.values()]
+    config = cfg.path_config(48, 0, np.unique(np.concatenate([t for _exp, t in plan])))
+    release, paths = harness._tables_only(cfg, plan), []
+
+    def run():
+        with SpectralLanes(4) as lanes:
+            paths.append(evolve(cd, config, on_checkpoint=harness._handoff(lanes, plan, release),
+                                pool=lanes.pool))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=run)
+        caller.start()
+        caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive() and len(paths) == 1
+    live, times = paths[0], harness.EXPERIMENTS["characteristics"].times(cfg)
+    dropped = {s.t for s in live.states if s._hu is None}
+    assert dropped and dropped <= release
+    ev_after = PathTraceEvaluator(evolve(cd, config).view(times))
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)   # the live tables are complete
+    ev_live = PathTraceEvaluator(live.view(times))
+    assert list(ev_live._lam) == list(ev_after._lam)
+    for t, lam in ev_after._lam.items():
+        assert np.array_equal(ev_live._lam[t], lam), t
+    assert live.replay.replayed == 0
+
+
+@pytest.mark.parametrize("names", [names for k in range(1, 5)
+                                   for names in itertools.combinations(harness.EXPERIMENT_NAMES, k)])
+def test_no_experiment_reads_a_released_matrix(names):
+    # the release rule and the readers agree: no run replays a path
+    cfg = small_config(trials=1, n_re=5, experiments=names)
+    telemetry = {}
+    reps = run_experiments(cfg, telemetry=telemetry)
+    assert all(not rep.failures for rep in reps.values())
+    plan = [(harness.EXPERIMENTS[name], harness.EXPERIMENTS[name].times(cfg)) for name in names]
+    assert telemetry["matrices_released"] == len(harness._tables_only(cfg, plan))
+    assert telemetry["matrices_replayed"] == 0
+    assert (telemetry["matrices_released"] > 0) == ("characteristics" in names)
+
+
+def test_fit_scaling_repeats_linregress_bit_for_bit(monkeypatch):
+    # the fits of an all run and of the fit tests above, against scipy's own
+    from scipy import stats
+    fits, real = [], harness.fit_scaling
+
+    def recorded(xs, ys):
+        fits.append((xs, ys))
+        return real(xs, ys)
+    monkeypatch.setattr(harness, "fit_scaling", recorded)
+    reps = run_experiments(_mixture_all_config())
+    assert reps["lsc"].stats["fit"] is not None and len(fits) == 4
+    x = np.geomspace(10, 1e4, 40)
+    noisy = 2.0 * x ** -0.5 * (1.0 + 0.05 * np.random.Generator(np.random.Philox(123))
+                               .standard_normal(40))
+    fits += [(x, noisy), (x[:5], 3.0 * x[:5] ** -0.5), ([1.0, 2.0, 4.0, 8.0], [2.5] * 4)]
+    for xs, ys in fits:
+        fit, want = real(xs, ys), stats.linregress(np.log(xs), np.log(ys))
+        got = np.array([fit.slope, fit.intercept, fit.stderr])
+        ref = np.array([want.slope, want.intercept, want.stderr])
+        assert got.tobytes() == ref.tobytes(), (xs, ys)
 
 
 def test_tail_holds_one_interior_basis_of_squares_alone(monkeypatch):

@@ -371,6 +371,24 @@ def test_evolve_terminal_checkpoint_only(mixture):
     assert path.total_clamps == full.total_clamps
 
 
+def test_release_needs_the_path_stream(mixture):
+    # a path drawn from a caller's generator cannot be integrated again, so
+    # none of its states may drop its matrix; the path's own stream can
+    cfg = PathConfig(n=16, base_seed=9, schedule=geometric_uniform_schedule(1e-3, 100))
+    given = evolve(mixture, cfg, gen=streams.path_stream(9, 16, 0))
+    assert given.replay is None
+    with pytest.raises(ValueError, match="cannot be replayed"):
+        given.states[0].release()
+    assert given.states[0]._hu is not None
+    own = evolve(mixture, cfg)
+    own.states[0].release()
+    own.states[0].release()   # once dropped, nothing more to drop
+    assert own.states[0]._hu is None and own.states[0].n == 16
+    assert (own.replay.released, own.replay.replayed) == (1, 0)
+    assert own.states[0].hu.tobytes() == given.states[0].hu.tobytes()
+    assert (own.replay.released, own.replay.replayed) == (1, 1)
+
+
 def test_path_view_shares_states(mixture):
     cfg = PathConfig(n=16, base_seed=9, schedule=geometric_uniform_schedule(1e-3, 100))
     path = evolve(mixture, cfg)
@@ -380,6 +398,7 @@ def test_path_view_shares_states(mixture):
     assert np.array_equal(view.config.checkpoints, times)
     assert all(v is path.states[i] for v, i in zip(view.states, (0, 3, -1)))
     assert view.total_clamps == path.total_clamps
+    assert view.replay is path.replay
 
 
 def test_evolve_deterministic_per_config(mixture):
