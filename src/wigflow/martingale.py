@@ -129,7 +129,7 @@ class MatrixState:
     _hu: np.ndarray = field(repr=False)
     density: CalibratedDensity = field(repr=False, compare=False)
     spectra: dict = field(default_factory=dict, repr=False, compare=False)
-    _replay: "_Replay | None" = field(default=None, repr=False, compare=False)
+    _replay: _Replay | None = field(default=None, repr=False, compare=False)
 
     @property
     def hu(self) -> np.ndarray:
