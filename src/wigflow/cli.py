@@ -234,14 +234,9 @@ def cmd_run(args) -> int:
     return exit_code
 
 
-def stub_checks(n_steps: int = 50, msc_fn=None, drift=None) -> list:
-    """Closed-form flow checks; returns (name, passed, detail) triples.
-
-    The drift and msc arguments exist for fault injection in tests; the
-    defaults verify the shipped implementations.
-    """
-    mfn = msc if msc_fn is None else msc_fn
-    field = frozen_semicircle_drift if drift is None else drift
+def stub_checks(n_steps: int = 50) -> list:
+    """Closed-form flow checks of the shipped msc and frozen-semicircle drift;
+    returns (name, passed, detail) triples."""
     dom = SpectralDomain(n=500)
     t_grid = np.linspace(0.0, 1.0, n_steps + 1)
     checks = []
@@ -249,26 +244,26 @@ def stub_checks(n_steps: int = 50, msc_fn=None, drift=None) -> list:
     re = np.linspace(-3.0, 3.0, 40)
     im = np.geomspace(0.05, 2.0, 25)
     z = (re[None, :] + 1j * im[:, None]).ravel()
-    m = mfn(z)
+    m = msc(z)
     res = float(np.abs(m * m + z * m + 1.0).max())
     checks.append(("msc-fixed-point", res <= 1e-12,
                    f"max |m^2 + zm + 1| = {res:.3e} (tol 1e-12)"))
 
     min_im = float(m.imag.min())
-    mi = complex(mfn(1j))
+    mi = complex(msc(1j))
     branch_ok = min_im > 0.0 and abs(mi - 0.6180339887j) <= 1e-9
     checks.append(("msc-branch", branch_ok,
                    f"min Im m = {min_im:.3e} (must be > 0), "
                    f"m(i) = {mi.imag:.10f}i"))
 
     zetas = (0.8 + 0.9j, -1.1 + 0.7j, 1.4 + 1.0j, -0.5 + 1.2j)
-    curves = [flow_gamma(field, zeta, dom, t_grid) for zeta in zetas]
+    curves = [flow_gamma(frozen_semicircle_drift, zeta, dom, t_grid) for zeta in zetas]
     g_err = 0.0
     d_err = 0.0
     for zeta, c in zip(zetas, curves):
         line = zeta + c.times / zeta
         g_err = max(g_err, float(np.abs(c.xi - line).max()))
-        d_err = max(d_err, max(abs(field(float(t), complex(w)) + 1.0 / zeta)
+        d_err = max(d_err, max(abs(frozen_semicircle_drift(float(t), complex(w)) + 1.0 / zeta)
                                for t, w in zip(c.times, line)))
     checks.append(("gamma-line", g_err <= 1e-6,
                    f"max |gamma - (zeta + t/zeta)| = {g_err:.3e} (tol 1e-6)"))
@@ -278,9 +273,9 @@ def stub_checks(n_steps: int = 50, msc_fn=None, drift=None) -> list:
     lam_err = 0.0
     rt_err = 0.0
     for z0 in (0.5 + 0.8j, -1.2 + 0.6j, 1.0 + 1.0j):
-        lam = flow_lambda(field, z0, dom, t_grid)
-        lam_err = max(lam_err, abs(lam.endpoint + 1.0 / mfn(z0)))
-        back = flow_gamma(field, lam.endpoint, dom, t_grid)
+        lam = flow_lambda(frozen_semicircle_drift, z0, dom, t_grid)
+        lam_err = max(lam_err, abs(lam.endpoint + 1.0 / msc(z0)))
+        back = flow_gamma(frozen_semicircle_drift, lam.endpoint, dom, t_grid)
         rt_err = max(rt_err, abs(back.endpoint - z0))
     checks.append(("lambda-endpoint", lam_err <= 1e-6,
                    f"max |lambda(1,z) + 1/m(z)| = {lam_err:.3e} (tol 1e-6)"))
@@ -297,7 +292,7 @@ def stub_checks(n_steps: int = 50, msc_fn=None, drift=None) -> list:
                    f"{ratio:.6f} (must be <= 1)"))
 
     zeta = 0.3 + 0.9j
-    c = flow_gamma(field, zeta, dom, t_grid)
+    c = flow_gamma(frozen_semicircle_drift, zeta, dom, t_grid)
     tau_exact = abs(zeta) ** 2 * (1.0 - dom.eta / (4.0 * zeta.imag))
     stop_ok = c.stopped and abs(c.tau - tau_exact) <= 1e-4
     detail = (f"tau = {c.tau:.8f}, closed form {tau_exact:.8f}"

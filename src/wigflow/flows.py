@@ -22,6 +22,9 @@ keeps the backlog to one checkpoint's pair of tables as it integrates, so
 that states whose matrices only the tables read can be released early,
 then drains the rest newest first and stops at the first error.  The
 same pool draws the path's SDE normals ahead while it integrates.
+
+The drift decomposition along a curve, a tool of the proof rather than
+of the experiments, is a test oracle (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ import numpy as np
 
 from .domains import SpectralDomain
 from .martingale import MatrixPath, _spectrum, _unpack
-from .resolvent import EigenResolvent, t_op
 
 
 class ODEStepFailure(Exception):
@@ -339,60 +341,6 @@ def map_to_initial(drift_field, z: complex, dom: SpectralDomain,
                    t_grid: np.ndarray) -> MapResult:
     w = flow_lambda(drift_field, z, dom, t_grid).endpoint
     return MapResult(w=w, residual=float(abs(w + 1.0 / w - z)), in_D0=dom.in_D0(w))
-
-
-@dataclass
-class DriftDecomposition:
-    """Cumulative trace drifts <F> and <A> with the reconstruction defect."""
-
-    times: np.ndarray
-    F: np.ndarray
-    A: np.ndarray
-    reconstruction_residual: float
-
-
-def drift_decomposition(path: MatrixPath, curve: CharacteristicCurve) -> DriftDecomposition:
-    """Split the trace evolution along a curve into its two drift pieces.
-
-    Discrete increments, accumulated as trace means with R evaluated at
-    the step's left endpoint:
-
-        dF = -<R (dH - T[sigma, R] dt) R>
-        dA =  <R (S[sigma, R] - <R>) R> dt
-
-    The reconstruction defect |<R(t)> - <R(0)> - F - A| is limited by the
-    step size and the second-order resolvent remainder.
-    """
-    if curve.reverse_time:
-        raise ValueError("decomposition runs along forward curves")
-    states = path.states
-    n = states[0].n
-    ode_times = np.concatenate([[0.0], [s.t for s in states]])
-    if not np.array_equal(curve.times, ode_times):
-        raise ValueError("curve grid does not match the path checkpoints")
-    m = curve.times.size
-    F = np.zeros(m, dtype=complex)
-    A = np.zeros(m, dtype=complex)
-    last = m - 1
-    if curve.stopped:
-        last = int(np.nonzero(curve.times >= curve.tau)[0][0]) - 1
-    for k in range(last):
-        dt = curve.times[k + 1] - curve.times[k]
-        H0 = np.zeros((n, n)) if k == 0 else states[k - 1].H
-        H1 = states[k].H
-        sig = states[0].sigma if k == 0 else states[k - 1].sigma
-        R = EigenResolvent(H0).full(curve.xi[k])
-        RR = R @ R
-        X = (H1 - H0) - dt * t_op(sig, R)
-        F[k + 1] = F[k] - np.einsum("ij,ji->", X, RR) / n
-        dev = (sig - 1.0 / n) @ R.diagonal()
-        A[k + 1] = A[k] + (dev * RR.diagonal()).sum() * dt / n
-    if last < m - 1:
-        F[last + 1:] = F[last]
-        A[last + 1:] = A[last]
-    recon = np.max(np.abs((curve.r - curve.r[0]) - F - A)[:last + 1])
-    return DriftDecomposition(times=curve.times, F=F, A=A,
-                              reconstruction_residual=float(recon))
 
 
 def contraction_check(curve_z: CharacteristicCurve, curve_w: CharacteristicCurve) -> float:

@@ -156,8 +156,8 @@ class ExperimentConfig:
         self.W = tuple(float(w) for w in self.W)
         self.marginal_times = tuple(float(t) for t in self.marginal_times)
         self.experiments = tuple(str(e) for e in self.experiments)
-        if not self.n_values or not self.experiments:
-            raise ConfigError("n_values and the experiments to run must not be empty")
+        if not self.n_values or not self.experiments or not self.marginal_times:
+            raise ConfigError("n_values, marginal_times and the experiments must not be empty")
         for name in ("n_values", "experiments"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -420,19 +420,10 @@ def _marginal_reduce(cfg, cd, results):
 # ------------------------------------------------------------ entrywise
 
 
-@dataclass
-class EntrywiseReport:
-    """Per-matrix entrywise maxima over the z-grid."""
-
-    rows: list                    # (re_z, im_z, max_diag_err, max_offdiag, max_schur)
-    max_diag_err: float
-    max_offdiag: float
-    max_schur_residual: float
-
-
 def run_entrywise(er: EigenResolvent, dom: SpectralDomain,
-                  n_im: int = 8, n_re: int = 9) -> EntrywiseReport:
-    """Entrywise resolvent statistics of one t = 1 matrix, decomposed as er.
+                  n_im: int = 8, n_re: int = 9) -> list:
+    """Entrywise resolvent statistics of one t = 1 matrix, decomposed as er:
+    one row (re_z, im_z, max_diag_err, max_offdiag, max_schur) per z.
 
     Per z: max_k |G_kk - msc|, max_{j != k} |G_jk|, and the
     self-consistency defect max_k |1/G_kk + z + msc| divided by the
@@ -451,16 +442,12 @@ def run_entrywise(er: EigenResolvent, dom: SpectralDomain,
                      float(np.max(np.abs(gd - m))),
                      float(np.max(off)),
                      float(np.max(np.abs(1.0 / gd + z + m)) / norm)))
-    arr = np.asarray([r[2:] for r in rows])
-    return EntrywiseReport(rows=rows,
-                           max_diag_err=float(arr[:, 0].max()),
-                           max_offdiag=float(arr[:, 1].max()),
-                           max_schur_residual=float(arr[:, 2].max()))
+    return rows
 
 
 def _entrywise_trial(cfg, n, trial, path):
-    rep = run_entrywise(path.states[-1].resolvent, cfg.domain(n), cfg.n_im, cfg.n_re)
-    return [(n, trial) + r for r in rep.rows]
+    rows = run_entrywise(path.states[-1].resolvent, cfg.domain(n), cfg.n_im, cfg.n_re)
+    return [(n, trial) + r for r in rows]
 
 
 def aggregate_entrywise(rows):

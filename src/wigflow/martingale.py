@@ -13,10 +13,11 @@ triangle of H alone (4 MB at N = 1000) and rebuilds H and sigma from it on
 each access, at O(N^2) cost.  A state whose matrix is read only through
 its spectra may release the triangle once they exist; reading it again
 integrates the path once more from its own stream (_Replay), which
-restores every released triangle of the path bit for bit.  Every
-eigendecomposition of a state comes from one routine, _spectrum, and is
-kept in one cache, state.spectra.  One kernel advances matrix paths,
-single steps and scalar paths, in cache-sized blocks of entries, on the
+restores every released triangle of the path bit for bit; every path
+draws from the stream streams.path_stream names for it, so every path can
+replay.  Every eigendecomposition of a state comes from one routine,
+_spectrum, and is kept in one cache, state.spectra.  One kernel advances
+matrix paths and scalar paths, in cache-sized blocks of entries, on the
 normals _normals draws a chunk of steps at a time.  They do not depend
 on the state, so when evolve is given a thread pool (a trial's spectral
 lanes), the pool draws the next chunk while the caller applies the
@@ -40,10 +41,6 @@ import numpy as np
 from . import streams
 from .density import CalibratedDensity, sample_iid
 from .resolvent import EigenResolvent
-
-
-class InvalidStep(Exception):
-    """Nonpositive step or a step overshooting the terminal time."""
 
 
 def geometric_uniform_schedule(t_init: float = 1e-3, n_steps: int = 2000,
@@ -121,15 +118,14 @@ class MatrixState:
     the eigvalsh table of the state halfway back to it (t0 = 0: half of H).
 
     release() drops hu and keeps the spectra; the next read of hu, H or sigma
-    replays the path (_Replay) to restore it.  A state of a path drawn from a
-    caller's generator has no replay, and releasing it raises."""
+    replays the path (_Replay) to restore it."""
 
     t: float
     n: int
     _hu: np.ndarray = field(repr=False)
     density: CalibratedDensity = field(repr=False, compare=False)
+    _replay: _Replay = field(repr=False, compare=False)
     spectra: dict = field(default_factory=dict, repr=False, compare=False)
-    _replay: _Replay | None = field(default=None, repr=False, compare=False)
 
     @property
     def hu(self) -> np.ndarray:
@@ -139,8 +135,6 @@ class MatrixState:
 
     def release(self) -> None:
         """Drop hu, spectra kept; nothing happens if it is already dropped."""
-        if self._replay is None:
-            raise ValueError("a path drawn from a caller's generator cannot be replayed")
         if self._hu is not None:
             self._hu = None
             self._replay.held.append(self)
@@ -167,11 +161,12 @@ class MatrixState:
 
 
 class _Replay:
-    """A path's own stream, integrated once more on demand: restore() runs
-    evolve on the released states' times alone, with no pool, and gives each
-    its hu back.  evolve's states do not depend on which checkpoints are
-    kept, so the triangles are the released ones bit for bit.  Replays run
-    on the reading thread only; released and replayed count triangles."""
+    """A path's own stream, integrated once more on demand; every path evolve
+    returns has one.  restore() runs evolve on the released states' times
+    alone, with no pool, and gives each its hu back.  evolve's states do not
+    depend on which checkpoints are kept, so the triangles are the released
+    ones bit for bit.  Replays run on the reading thread only; released and
+    replayed count triangles."""
 
     def __init__(self, cd: CalibratedDensity, config: PathConfig):
         self.cd, self.config = cd, config
@@ -189,13 +184,13 @@ class _Replay:
 
 @dataclass
 class MatrixPath:
-    """Checkpoint states of one trial, in increasing time order; replay (None
-    for a path drawn from a caller's generator) restores released states."""
+    """Checkpoint states of one trial, in increasing time order; replay
+    restores released states."""
 
     config: PathConfig
     states: list
-    total_clamps: int = 0
-    replay: _Replay | None = field(default=None, repr=False)
+    total_clamps: int
+    replay: _Replay = field(repr=False)
 
     @property
     def times(self) -> np.ndarray:
@@ -253,8 +248,8 @@ class _Kernel:
     independent entries at scale n^{-1/2} (the upper triangle of H, or n_paths
     scalar paths at n = 1) at time t, su = a(sqrt(n/t) hu)/n their coefficient.
     advance runs block by block on the step's normals, which the caller draws
-    (_normals, or one draw in step); Philox normals drawn per step or per
-    chunk of steps are the same bits as one draw of them all."""
+    (_normals); Philox normals drawn per step or per chunk of steps are the
+    same bits as one draw of them all."""
 
     def __init__(self, cd: CalibratedDensity, n: int, t: float, hu: np.ndarray):
         self.cd, self.n, self.hu = cd, n, hu
@@ -283,28 +278,9 @@ class _Kernel:
             self.clamps += self.cd.a_clamped(x, out=x, work=self.work[:, :su.size])[1]
             su /= self.n
 
-    def state(self, replay=None) -> MatrixState:
+    def state(self, replay: _Replay) -> MatrixState:
         return MatrixState(t=self.t, n=self.n, _hu=self.hu.copy(), density=self.cd,
                            _replay=replay)
-
-
-def init_exact(cd: CalibratedDensity, n: int, t_init: float,
-               gen: np.random.Generator) -> MatrixState:
-    """Sample H(t_init) from its exact marginal."""
-    return _Kernel.exact(cd, n, t_init, gen).state()
-
-
-def step(cd: CalibratedDensity, state: MatrixState, dt: float,
-         gen: np.random.Generator) -> MatrixState:
-    """One Euler-Maruyama step of the matrix SDE, on one draw of its normals."""
-    if dt <= 0:
-        raise InvalidStep(f"dt = {dt} must be positive")
-    t_new = state.t + dt
-    if t_new > 1.0 + 1e-12:
-        raise InvalidStep(f"step to t = {t_new} overshoots the terminal time 1")
-    kernel = _Kernel(cd, state.n, state.t, state.hu.copy())
-    kernel.advance(dt, min(t_new, 1.0), gen.standard_normal(kernel.hu.size))
-    return kernel.state()
 
 
 def _normals(gen, size, steps, pool):
@@ -346,7 +322,6 @@ def _normals(gen, size, steps, pool):
 
 
 def evolve(cd: CalibratedDensity, config: PathConfig,
-           gen: np.random.Generator | None = None,
            on_checkpoint=None, pool=None) -> MatrixPath:
     """Integrate the matrix SDE over the configured schedule.
 
@@ -356,17 +331,15 @@ def evolve(cd: CalibratedDensity, config: PathConfig,
     is the same bit for bit whichever other checkpoints are kept.
     on_checkpoint(state), if given, receives each kept state as soon as it
     exists, while the integration goes on; its hu is never written again,
-    though it may be released.  A path drawn from its own stream (gen None)
-    can replay released states; one drawn from gen cannot.
-    The normals come from _normals a chunk of steps at a time.  pool, a
+    though it may be released.  The path draws from its own stream
+    (streams.path_stream), so it can replay released states.  The normals
+    come from _normals a chunk of steps at a time.  pool, a
     concurrent.futures executor if given, draws the next chunk while this
     thread applies the current one; the states are the same bit for bit, and
     no draw outlives the call.
     """
-    replay = None
-    if gen is None:
-        gen = streams.path_stream(config.base_seed, config.n, config.trial)
-        replay = _Replay(cd, config)
+    gen = streams.path_stream(config.base_seed, config.n, config.trial)
+    replay = _Replay(cd, config)
     sched = config.schedule
     is_checkpoint = np.isin(sched, config.checkpoints)
     kernel = _Kernel.exact(cd, config.n, sched[0], gen)
@@ -389,11 +362,13 @@ def evolve_scalar(cd: CalibratedDensity, t_grid: np.ndarray,
                   gen: np.random.Generator, n_paths: int = 1) -> np.ndarray:
     """Euler-Maruyama paths of the scalar martingale; shape (times, paths).
 
-    The matrix kernel at N = 1 on n_paths independent entries, its normals
-    drawn by _normals without a pool.  h(t_grid[0])
-    is sampled from its exact marginal sqrt(t) * rho, so the statistical
-    contract h(t)/sqrt(t) ~ rho holds at the start by construction and
-    approximately (to discretization order) afterwards.
+    The paper's scalar construction, which no command runs: the tests hold
+    the kernel to its prescribed marginals through it.  The matrix kernel at
+    N = 1 on n_paths independent entries, its normals drawn by _normals
+    without a pool.  h(t_grid[0]) is sampled from its exact marginal
+    sqrt(t) * rho, so the statistical contract h(t)/sqrt(t) ~ rho holds at
+    the start by construction and approximately (to discretization order)
+    afterwards.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] <= 0:

@@ -215,6 +215,7 @@ _MALFORMED = st.one_of(
     st.tuples(st.just("experiments"), st.just("n_values"),
               st.lists(st.integers(-5, 31), min_size=1, max_size=3)),
     st.tuples(st.just("experiments"), st.just("trials"), st.integers(-3, 0)),
+    st.tuples(st.just("experiments"), st.just("marginal_times"), st.just([])),
     # a repeated entry
     st.tuples(st.just("experiments"), st.just("n_values"),
               st.integers(64, 99).map(lambda n: [n, 96, n])),

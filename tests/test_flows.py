@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
+from oracles import drift_decomposition
 from wigflow.density import DensitySpec, calibrate
 from wigflow.domains import SpectralDomain, frozen_semicircle_drift, msc
 from wigflow.flows import (PathTraceEvaluator, SpectralLanes, contraction_check,
-                           drift_decomposition, flow_gamma, flow_lambda,
-                           map_to_initial, ODEStepFailure)
+                           flow_gamma, flow_lambda, map_to_initial, ODEStepFailure)
 from wigflow.martingale import (PathConfig, checkpoint_times, evolve,
                                 geometric_uniform_schedule)
 
@@ -145,7 +145,7 @@ def gauss_path():
 
 
 def test_evaluator_matches_checkpoints(gauss_path):
-    from wigflow.resolvent import resolvent
+    from oracles import resolvent
     _, path = gauss_path
     ev = PathTraceEvaluator(path)
     assert ev.ode_times[0] == 0.0
@@ -458,7 +458,7 @@ def test_path_integration_identity(gauss_path):
 
 
 def test_drift_decomposition_algebra(gauss_path):
-    from wigflow.resolvent import resolvent, s_op, t_op
+    from oracles import resolvent, s_op, t_op
     _, path = gauss_path
     dom = SpectralDomain(n=60)
     ev = PathTraceEvaluator(path)

@@ -1,4 +1,5 @@
-"""Static check: every module-level import in the package and tests is used."""
+"""Static checks: every module-level import in the package and tests is
+used, and every public definition of the package is loaded by the package."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted([*ROOT.glob("src/wigflow/*.py"), *ROOT.glob("tests/*.py")])
+# public definitions no command runs: evolve_scalar is the paper's scalar
+# construction, which the tests hold the kernel to
+UNLOADED = {"martingale.evolve_scalar"}
 
 
 def unused_imports(source: str) -> list:
@@ -40,6 +44,38 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
+def unloaded_definitions(sources: dict) -> list:
+    """"module.name" of each public module-level function and class of a
+    package, given as {module name: source}, that no live code loads.
+
+    Module-level statements and private definitions are live, and so is
+    every public definition that live code loads by name (`f`, or `m.f` for
+    a module m of the package).  So a definition that only loads itself,
+    or a chain of them that nothing live reaches, is reported whole.
+    Public names are unique across the package, so a load matches by name.
+    """
+    defs, frontier = {}, []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+                defs[top.name] = (module, top)
+            else:
+                frontier.append(top)
+    live = set()
+    while frontier:
+        loaded = set()
+        for node in (n for top in frontier for n in ast.walk(top)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in sources:
+                loaded.add(node.attr)
+        reached = (loaded & defs.keys()) - live
+        live |= reached
+        frontier = [defs[name][1] for name in reached]
+    return sorted(f"{module}.{name}" for name, (module, _top) in defs.items()
+                  if name not in live)
+
+
 def test_checker_finds_an_unused_import():
     src = ("from __future__ import annotations\nimport os\nimport sys\n"
            "from a import b, c as d, e\nx: 'd' = sys.argv\ny = 'e'\n")
@@ -49,3 +85,18 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_finds_an_unloaded_definition():
+    sources = {"a": ("def used():\n    return helper()\ndef helper():\n    pass\n"
+                     "def orphan():\n    return chain()\ndef chain():\n    pass\n"
+                     "def selfish():\n    return selfish()\nclass Kept:\n    pass\n"),
+               "b": ("from . import a\nfrom .a import Kept, chain\n"
+                     "def _private():\n    return Kept()\nprint(a.used)\n")}
+    assert unloaded_definitions(sources) == ["a.chain", "a.orphan", "a.selfish"]
+
+
+def test_every_public_definition_is_loaded():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in ROOT.glob("src/wigflow/*.py")}
+    unloaded = unloaded_definitions(sources)
+    assert unloaded == sorted(UNLOADED), f"public definitions nothing live loads: {unloaded}"

@@ -12,12 +12,31 @@ from scipy.stats import kstest, ks_2samp
 from wigflow import streams
 from wigflow.density import DensitySpec, calibrate, sample_iid
 from wigflow.martingale import (
-    InvalidStep, MatrixPath, PathConfig, checkpoint_times, evolve,
-    evolve_scalar, geometric_uniform_schedule, init_exact, step,
+    MatrixPath, PathConfig, _Kernel, checkpoint_times, evolve, evolve_scalar,
+    geometric_uniform_schedule,
 )
 
 MIX = (0.5, 0.5), (np.sqrt(0.5), np.sqrt(1.5))
 TERMINAL = np.array([1.0])
+
+
+def _step(cd, st, dt, gen):
+    """One Euler-Maruyama step of st through the SDE kernel."""
+    kernel = _Kernel(cd, st.n, st.t, st.hu.copy())
+    kernel.advance(dt, st.t + dt, gen.standard_normal(kernel.hu.size))
+    return kernel.state(None)
+
+
+@pytest.fixture
+def path_streams(monkeypatch):
+    """The generators streams.path_stream makes, in order."""
+    made, path_stream = [], streams.path_stream
+
+    def capture(*key):
+        made.append(path_stream(*key))
+        return made[-1]
+    monkeypatch.setattr(streams, "path_stream", capture)
+    return made
 
 
 @pytest.fixture(scope="module")
@@ -53,37 +72,29 @@ def test_config_validation():
 
 
 def test_init_exact_symmetry_and_sigma(gaussian):
-    st = init_exact(gaussian, 40, 1e-3, streams.stream(3, 0))
+    st = _Kernel.exact(gaussian, 40, 1e-3, streams.stream(3, 0)).state(None)
     assert np.array_equal(st.H, st.H.T)
     assert np.array_equal(st.sigma, st.sigma.T)
     assert np.all(st.sigma == 1.0 / 40)          # a == 1 makes sigma exact
 
 
 def test_init_small_t_is_near_zero_matrix(gaussian):
-    st = init_exact(gaussian, 30, 1e-12, streams.stream(3, 1))
+    st = _Kernel.exact(gaussian, 30, 1e-12, streams.stream(3, 1)).state(None)
     assert np.max(np.abs(st.H)) < 1e-4
 
 
 def test_init_entry_scale(gaussian):
     n, t = 300, 0.25
-    st = init_exact(gaussian, n, t, streams.stream(4, 0))
+    st = _Kernel.exact(gaussian, n, t, streams.stream(4, 0)).state(None)
     iu = np.triu_indices(n)
     v = np.var(st.H[iu] * np.sqrt(n / t))
     assert abs(v - 1.0) < 0.02
 
 
-def test_step_rejects_bad_dt(gaussian):
-    st = init_exact(gaussian, 10, 1e-3, streams.stream(5, 0))
-    with pytest.raises(InvalidStep):
-        step(gaussian, st, 0.0, streams.stream(5, 1))
-    with pytest.raises(InvalidStep):
-        step(gaussian, st, 2.0, streams.stream(5, 1))
-
-
 def test_step_gaussian_is_brownian(gaussian):
     n, dt = 200, 0.01
-    st = init_exact(gaussian, n, 0.5, streams.stream(6, 0))
-    st2 = step(gaussian, st, dt, streams.stream(6, 1))
+    st = _Kernel.exact(gaussian, n, 0.5, streams.stream(6, 0)).state(None)
+    st2 = _step(gaussian, st, dt, streams.stream(6, 1))
     iu = np.triu_indices(n)
     incr = (st2.H - st.H)[iu]
     assert np.all(st2.sigma == 1.0 / n)
@@ -94,20 +105,20 @@ def test_step_gaussian_is_brownian(gaussian):
 def test_step_conditional_mean_is_martingale(mixture):
     # replaying many independent one-step updates must average back to H
     n, dt, m = 6, 0.02, 20000
-    st = init_exact(mixture, n, 0.3, streams.stream(7, 0))
+    st = _Kernel.exact(mixture, n, 0.3, streams.stream(7, 0)).state(None)
     acc = np.zeros((n, n))
     for i in range(m):
-        acc += step(mixture, st, dt, streams.stream(7, streams.PURPOSE_PROBE, i)).H
+        acc += _step(mixture, st, dt, streams.stream(7, streams.PURPOSE_PROBE, i)).H
     err = np.max(np.abs(acc / m - st.H))
     assert err < 5.0 * np.sqrt(mixture.a_sup / n * dt / m)
 
 
 def test_step_conditional_variance_matches_sigma(mixture):
     n, dt, m = 6, 0.02, 20000
-    st = init_exact(mixture, n, 0.3, streams.stream(8, 0))
+    st = _Kernel.exact(mixture, n, 0.3, streams.stream(8, 0)).state(None)
     sq = np.zeros((n, n))
     for i in range(m):
-        d = step(mixture, st, dt, streams.stream(8, streams.PURPOSE_PROBE, i)).H - st.H
+        d = _step(mixture, st, dt, streams.stream(8, streams.PURPOSE_PROBE, i)).H - st.H
         sq += d * d
     ratio = sq / m / (st.sigma * dt)
     assert np.max(np.abs(ratio - 1.0)) < 0.06
@@ -181,23 +192,6 @@ def test_unpack_bitwise_against_rows(n, frac):
         assert out.tobytes() == want.tobytes()
 
 
-def test_step_replays_evolve(mixture):
-    # init_exact and step run the kernel evolve runs: same draws, same bits
-    sched = geometric_uniform_schedule(1e-3, 20)
-    # step lands on t + dt, so every schedule time must be reached exactly
-    assert np.array_equal(sched[:-1] + np.diff(sched), sched[1:])
-    path = evolve(mixture, PathConfig(n=12, base_seed=16, schedule=sched,
-                                      checkpoints=sched))
-    gen = streams.path_stream(16, 12, 0)
-    st = init_exact(mixture, 12, sched[0], gen)
-    for k, ref in enumerate(path.states):
-        if k:
-            st = step(mixture, st, sched[k] - sched[k - 1], gen)
-        assert st.t == ref.t
-        assert np.array_equal(st.H, ref.H)
-        assert np.array_equal(st.sigma, ref.sigma)
-
-
 def _per_block(cd, n, times, gen, size=None):
     """The kernel as it once drew its own normals, block by block of _BLOCK
     entries (the reference form): hu at each of `times`, from the exact draw
@@ -217,21 +211,6 @@ def _per_block(cd, n, times, gen, size=None):
 
 
 @pytest.mark.bitwise
-def test_step_bitwise_against_per_block_draw(mixture):
-    # N = 300: 45,150 entries, two blocks a step; step draws them at once
-    sched = geometric_uniform_schedule(1e-3, 20)[:6]
-    assert np.array_equal(sched[:-1] + np.diff(sched), sched[1:])
-    ref_gen, gen = streams.path_stream(17, 300, 0), streams.path_stream(17, 300, 0)
-    want, _clamps = _per_block(mixture, 300, sched, ref_gen)
-    st = init_exact(mixture, 300, sched[0], gen)
-    for k, hu in enumerate(want):
-        if k:
-            st = step(mixture, st, sched[k] - sched[k - 1], gen)
-        assert st.t == sched[k] and st.hu.tobytes() == hu.tobytes()
-    assert _philox(gen) == _philox(ref_gen)
-
-
-@pytest.mark.bitwise
 @pytest.mark.parametrize("points", [1, 2, 10])
 def test_evolve_scalar_bitwise_against_per_block_draw(mixture, points):
     # 70,000 paths: three blocks a step, four steps a chunk (10 points: three
@@ -246,7 +225,7 @@ def test_evolve_scalar_bitwise_against_per_block_draw(mixture, points):
 
 @pytest.mark.bitwise
 @pytest.mark.parametrize("n, n_steps", [(128, 100), (724, 12)])
-def test_evolve_bitwise_against_per_block_draw(mixture, n, n_steps):
+def test_evolve_bitwise_against_per_block_draw(mixture, n, n_steps, path_streams):
     # without a pool the caller draws every chunk: N = 128, 32 steps a chunk
     # and one block a step; N = 724, one step a chunk and nine blocks a step.
     # h_max = 1 clamps most entries, so the clamp totals are compared too
@@ -254,12 +233,12 @@ def test_evolve_bitwise_against_per_block_draw(mixture, n, n_steps):
     cd.h_max = 1.0
     cfg = PathConfig(n=n, base_seed=33, schedule=geometric_uniform_schedule(1e-3, n_steps))
     cfg.checkpoints = cfg.schedule[::3]
-    ref_gen, gen = streams.path_stream(33, n, 0), streams.path_stream(33, n, 0)
+    ref_gen = streams.path_stream(33, n, 0)
     want, clamps = _per_block(cd, n, cfg.schedule, ref_gen)
-    path = evolve(cd, cfg, gen)
+    path = evolve(cd, cfg)
     assert [st.hu.tobytes() for st in path.states] == [hu.tobytes() for hu in want[::3]]
     assert path.total_clamps == clamps > 0
-    assert _philox(gen) == _philox(ref_gen)
+    assert _philox(path_streams[-1]) == _philox(ref_gen)
 
 
 class _Unstarted:
@@ -293,42 +272,40 @@ def _philox(gen):
 
 @pytest.mark.parametrize("pool", ["unstarted", "eager", "idle", "busy"])
 @pytest.mark.parametrize("n, n_steps", [(128, 100), (724, 12)])
-def test_evolve_draws_ahead_bitwise(mixture, n, n_steps, pool):
+def test_evolve_draws_ahead_bitwise(mixture, n, n_steps, pool, path_streams):
     # N = 128: 32 steps a chunk, 100 steps (4 chunks, the last one short);
     # N = 724: 262,450 entries, one step a chunk.  Whoever draws a chunk,
     # the states, the clamp total and the stream left behind are those of
     # evolve without a pool, bit for bit
     cfg = PathConfig(n=n, base_seed=31, schedule=geometric_uniform_schedule(1e-3, n_steps))
     cfg.checkpoints = cfg.schedule[::3]
-    serial_gen = streams.path_stream(31, n, 0)
-    serial = evolve(mixture, cfg, serial_gen)
-    gen = streams.path_stream(31, n, 0)
+    serial = evolve(mixture, cfg)
     if pool == "unstarted":
-        path = evolve(mixture, cfg, gen, pool=_Unstarted())
+        path = evolve(mixture, cfg, pool=_Unstarted())
     elif pool == "eager":
         eager = _Eager()
-        path = evolve(mixture, cfg, gen, pool=eager)
+        path = evolve(mixture, cfg, pool=eager)
         assert eager.jobs == (3 if n == 128 else n_steps - 1)
     else:
         with ThreadPoolExecutor(1) as executor:
             if pool == "busy":   # chunks queue behind a sleeping job
                 executor.submit(time.sleep, 0.05)
-            path = evolve(mixture, cfg, gen, pool=executor)
+            path = evolve(mixture, cfg, pool=executor)
     assert len(path.states) == len(serial.states)
     for st, ref in zip(path.states, serial.states):
         assert st.t == ref.t
         assert np.array_equal(st.hu, ref.hu)
     assert path.total_clamps == serial.total_clamps
+    serial_gen, gen = path_streams
     assert _philox(gen) == _philox(serial_gen)
 
 
-def test_evolve_error_leaves_no_draw_running(mixture):
+def test_evolve_error_leaves_no_draw_running(mixture, path_streams):
     # a checkpoint hook raising mid-path: once evolve raises, no draw runs on
     # the lanes' pool (the stream stays put), and the block joins its thread
     from wigflow.flows import SpectralLanes
     cfg = PathConfig(n=724, base_seed=32, schedule=geometric_uniform_schedule(1e-3, 12))
     cfg.checkpoints = cfg.schedule
-    gen = streams.path_stream(32, 724, 0)
     seen, started, finished = [], [], []
 
     def hook(state):
@@ -338,20 +315,26 @@ def test_evolve_error_leaves_no_draw_running(mixture):
 
     class Late:   # each draw starts late, so that one is running at the raise
         def submit(self, fn, *args, **kwargs):
+            running = threading.Event()
+
             def late():
                 started.append(None)
+                running.set()
                 time.sleep(0.05)
                 fn(*args, **kwargs)
                 finished.append(None)
-            return lanes.pool.submit(late)
+            future = lanes.pool.submit(late)
+            assert running.wait(timeout=60)   # the draw is running when submit returns
+            return future
 
     before = threading.active_count()
     with pytest.raises(KeyError, match="mid-path"):
         with SpectralLanes(2) as lanes:
             try:
-                evolve(mixture, cfg, gen, on_checkpoint=hook, pool=Late())
+                evolve(mixture, cfg, on_checkpoint=hook, pool=Late())
             finally:
                 assert len(finished) == len(started)
+                gen, = path_streams
                 left = _philox(gen)
                 time.sleep(0.1)   # a draw still running would move the stream
                 assert _philox(gen) == left
@@ -372,20 +355,16 @@ def test_evolve_terminal_checkpoint_only(mixture):
 
 
 def test_release_needs_the_path_stream(mixture):
-    # a path drawn from a caller's generator cannot be integrated again, so
-    # none of its states may drop its matrix; the path's own stream can
+    # a state drops its matrix, and reading it integrates the path's own
+    # stream once more: the same bits as a path never released
     cfg = PathConfig(n=16, base_seed=9, schedule=geometric_uniform_schedule(1e-3, 100))
-    given = evolve(mixture, cfg, gen=streams.path_stream(9, 16, 0))
-    assert given.replay is None
-    with pytest.raises(ValueError, match="cannot be replayed"):
-        given.states[0].release()
-    assert given.states[0]._hu is not None
+    kept = evolve(mixture, cfg)
     own = evolve(mixture, cfg)
     own.states[0].release()
     own.states[0].release()   # once dropped, nothing more to drop
     assert own.states[0]._hu is None and own.states[0].n == 16
     assert (own.replay.released, own.replay.replayed) == (1, 0)
-    assert own.states[0].hu.tobytes() == given.states[0].hu.tobytes()
+    assert own.states[0].hu.tobytes() == kept.states[0].hu.tobytes()
     assert (own.replay.released, own.replay.replayed) == (1, 1)
 
 

@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wigflow.resolvent import (
-    DimensionMismatch, EigenResolvent, MinorStat, ResolventSample,
-    minor_resolvent, resolvent, s_op, self_consistent_residual,
-    self_energy_error, t_op, ward_check,
-)
+from oracles import (MinorStat, ResolventSample, minor_resolvent, resolvent, s_op,
+                     self_consistent_residual, t_op, ward_check)
+from wigflow.resolvent import DimensionMismatch, EigenResolvent, self_energy_from_diag
 
 
 def wigner(n, seed, scale=1.0):
@@ -170,7 +168,7 @@ def test_dimension_mismatch_raised():
 def test_self_energy_zero_for_flat_profile():
     n = 40
     s = resolvent(wigner(n, 9), 0.5j)
-    stat = self_energy_error(np.full((n, n), 1.0 / n), s)
+    stat = self_energy_from_diag(np.full((n, n), 1.0 / n), s.G.diagonal(), s.z)
     assert stat.error == 0.0
 
 
@@ -178,7 +176,7 @@ def test_self_energy_brute_force_two_by_two():
     H = np.array([[0.3, -0.2], [-0.2, 0.1]])
     sigma = np.array([[0.6, 0.4], [0.4, 0.5]])
     s = resolvent(H, 0.7j)
-    stat = self_energy_error(sigma, s)
+    stat = self_energy_from_diag(sigma, s.G.diagonal(), s.z)
     tm = (s.G[0, 0] + s.G[1, 1]) / 2
     e0 = abs(sigma[0, 0] * s.G[0, 0] + sigma[0, 1] * s.G[1, 1] - tm)
     e1 = abs(sigma[1, 0] * s.G[0, 0] + sigma[1, 1] * s.G[1, 1] - tm)
