@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -174,6 +175,7 @@ def cmd_run(args) -> int:
 
     _fresh_target(out_dir, "manifest.json", args.overwrite)
     started = _now()
+    start = time.perf_counter()
     try:
         cd = calibrate(cfg.density)
     except DensityError as exc:
@@ -186,14 +188,17 @@ def cmd_run(args) -> int:
                   if k.endswith("_ok") and not v]
         print(f"assumption failure: {', '.join(failed)}", file=sys.stderr)
         return EXIT_ASSUMPTION
+    telemetry = {"calibrate_s": time.perf_counter() - start, "write_s": 0.0}
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    experiments, failures, telemetry = {}, {}, {}
+    experiments, failures = {}, {}
     worst = 0.0
     for name, report in run_experiments(cfg, cd, telemetry).items():
+        start = time.perf_counter()
         csv_paths = write_report_csv(report, out_dir)
         summary_path = out_dir / f"{name}-summary-{cfg.base_seed}.json"
         _write_json(summary_path, report.summary())
+        telemetry["write_s"] += time.perf_counter() - start
         frac = failure_fraction(report)
         worst = max(worst, frac)
         experiments[name] = {

@@ -65,14 +65,6 @@ class MomentFailure(DensityError):
     """The spec cannot be standardized to mean zero and unit variance."""
 
 
-class OutOfRange(DensityError):
-    """Evaluation point outside the working interval with clamping disabled."""
-
-
-class QuadratureFailure(DensityError):
-    """A quadrature underlying reconstruction did not converge."""
-
-
 def _mix_sum(coef, h, s):
     """sum_i coef_i phi(h / s_i) for the standard normal density phi, summed
     component by component in order (no (h.size, k) array), on 0-d input too."""
@@ -200,8 +192,6 @@ class CalibratedDensity:
     tab_h: np.ndarray = field(default_factory=lambda: np.empty(0))
     tab_rho: np.ndarray = field(default_factory=lambda: np.empty(0))
     tab_T: np.ndarray = field(default_factory=lambda: np.empty(0))
-    # reconstruction cache, built lazily on first use
-    _recon: tuple | None = field(default=None, repr=False, compare=False)
 
     # -- pointwise evaluators ------------------------------------------------
 
@@ -228,20 +218,6 @@ class CalibratedDensity:
         for _ in range(3):
             x = x - (self.cdf(x) - p) / np.maximum(self.rho(x), 1e-300)
         return np.clip(x, -self.h_max, self.h_max)
-
-    def tail_moment(self, h):
-        """T(h) = integral_h^inf k rho(k) dk."""
-        if self.kind == TABULATED:
-            return np.interp(h, self.tab_h, self.tab_T)
-        return _mix_sum(self.mix_w * self.mix_s, h, self.mix_s)
-
-    def a_of_h(self, h):
-        """Diffusion coefficient a(h) = T(h)/rho(h) for |h| <= h_max."""
-        h = np.asarray(h, dtype=float)
-        if np.any(np.abs(h) > self.h_max):
-            bad = float(np.max(np.abs(h)))
-            raise OutOfRange(f"|h| = {bad:.6g} exceeds working interval h_max = {self.h_max:.6g}")
-        return self._a_unchecked(h)
 
     def a_clamped(self, h, out=None, work=None):
         """a at h clamped into the working interval; returns (values, clamp count).
@@ -288,40 +264,6 @@ class CalibratedDensity:
                 den += np.multiply(w[i] / s[i], e, out=e)
             np.divide(num, den, out=num)
         return num if out is not None else num[()]   # 0-d input: a scalar
-
-    # -- reconstruction ------------------------------------------------------
-
-    def reconstruct_pdf(self, h):
-        """Recover the density from a alone.
-
-        Evaluates rho_hat(h) = C * a(h)^{-1} * exp(-integral_0^h k/a(k) dk)
-        with C fixed by normalization; for a calibrated density this inverts
-        the defining relation of a, so rho_hat must match rho.
-        """
-        h = np.asarray(h, dtype=float)
-        if np.any(np.abs(h) > self.h_max):
-            raise OutOfRange("reconstruction query outside the working interval")
-        grid_r, rho_hat = self._reconstruction_table()
-        return np.interp(h, grid_r, rho_hat)
-
-    def _reconstruction_table(self):
-        if self._recon is None:
-            from scipy import integrate   # imported on use: slow to import
-            n = 65537
-            grid_r = np.linspace(-self.h_max, self.h_max, n)
-            mid = n // 2            # grid_r[mid] == 0.0
-            integrand = grid_r / self._a_unchecked(grid_r)
-            iu = integrate.cumulative_simpson(integrand[mid:], x=grid_r[mid:], initial=0.0)
-            il = integrate.cumulative_simpson(integrand[mid::-1], x=-grid_r[mid::-1], initial=0.0)
-            expo = np.concatenate([-il[::-1][:-1], iu])   # integral_0^h k/a dk
-            un = np.exp(-(expo - expo.min())) / self._a_unchecked(grid_r)
-            if not np.all(np.isfinite(un)):
-                raise QuadratureFailure("non-finite reconstruction integrand")
-            norm = integrate.simpson(un, x=grid_r)
-            if not np.isfinite(norm) or norm <= 0:
-                raise QuadratureFailure("reconstruction normalization failed")
-            self._recon = (grid_r, un / norm)
-        return self._recon
 
 
 @dataclass

@@ -87,13 +87,6 @@ class SpectralDomain:
                 and (0.5 * self.eta <= z.imag <= 1.0 + 2.0 * inv)
                 and abs(z) > self.delta)
 
-    def in_Dprime(self, z) -> bool:
-        """Very large domain containing every characteristic started in D0."""
-        z = complex(z)
-        inv = 1.0 / self.eta
-        return ((self.W[0] - 3.0 * inv <= z.real <= self.W[1] + 3.0 * inv)
-                and (0.25 * self.eta <= z.imag <= 1.0 + 3.0 * inv))
-
     def z_grid(self, n_im: int = 8, n_re: int = 9) -> np.ndarray:
         """Log-spaced Im levels from eta to 1 crossed with uniform Re across W.
 

@@ -41,6 +41,7 @@ import math
 import multiprocessing
 import numbers
 import os
+import time
 import traceback
 from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Sequence
@@ -52,6 +53,7 @@ from .density import CalibratedDensity, DensitySpec, calibrate, sample_iid
 from .domains import SpectralDomain, msc
 from .flows import (PathTraceEvaluator, SpectralLanes, contraction_check, flow_gamma,
                     map_to_initial)
+from .kstest import ks_2samp
 from .martingale import (PathConfig, checkpoint_times, evolve,
                          geometric_uniform_schedule)
 from .resolvent import EigenResolvent, self_energy_from_diag
@@ -395,9 +397,9 @@ def _marginal_reduce(cfg, cd, results):
 
     Entries include the diagonal (same marginal law).  The reference
     sample is drawn from a dedicated stream keyed by (N, time index) and
-    matches the pooled sample size.
+    matches the pooled sample size.  The test is kstest.ks_2samp, whose
+    statistic and p-value are the bits of scipy's ks_2samp.
     """
-    from scipy import stats
     pooled = {}
     for n, _trial, ent in results:
         for t, vec in ent.items():
@@ -409,10 +411,9 @@ def _marginal_reduce(cfg, cd, results):
             sample = np.sqrt(n / t) * np.concatenate(pooled[(n, t)])
             gen = streams.stream(cfg.base_seed, streams.PURPOSE_DIRECT, n, ti)
             direct = sample_iid(cd, sample.size, gen)
-            ks = stats.ks_2samp(sample, direct)
+            statistic, pvalue = ks_2samp(sample, direct)
             rows.append((n, float(t), int(sample.size),
-                         float(ks.statistic), float(ks.pvalue),
-                         int(ks.pvalue < 0.01)))
+                         float(statistic), float(pvalue), int(pvalue < 0.01)))
     return {"marginal": rows}, {
         "rows": [dict(zip(COLUMNS["marginal"], r)) for r in rows]}
 
@@ -793,8 +794,9 @@ def run_experiments(config: ExperimentConfig, cd: CalibratedDensity | None = Non
     totals over every evolved path: `sde_clamps`, the SDE entries clamped;
     `matrices_released` and `matrices_replayed`, the checkpoint matrices
     dropped once their tables existed and those a later read integrated
-    again; and `caller_table_jobs`, the table jobs the integrating thread
-    ran rather than a lane.
+    again; `caller_table_jobs`, the table jobs the integrating thread
+    ran rather than a lane; and the wall seconds of the trials, `trials_s`,
+    and of each experiment's reduce, `reduce_s`.
     """
     if cd is None:
         cd = calibrate(config.density)
@@ -802,11 +804,13 @@ def run_experiments(config: ExperimentConfig, cd: CalibratedDensity | None = Non
             for name in config.experiments]
     checkpoints = np.unique(np.concatenate([times for _exp, times in plan]))
     tasks = [(n, t) for n in config.n_values for t in range(config.trials)]
+    start = time.perf_counter()
     counts, results = zip(*_map_trials(_trial, (cd, config, plan, checkpoints),
                                        config.processes, tasks))
+    trials_s = time.perf_counter() - start
     if telemetry is not None:
         telemetry.update((key, int(sum(c))) for key, c in zip(_COUNTS, zip(*counts)))
-    reports = {}
+    reports, reduce_s = {}, {}
     for i, (name, (exp, _times)) in enumerate(zip(config.experiments, plan)):
         done, failures = [], []
         for (n, trial), res in zip(tasks, results):
@@ -814,12 +818,16 @@ def run_experiments(config: ExperimentConfig, cd: CalibratedDensity | None = Non
                 failures.append(res[i])
             else:
                 done.append((n, trial, res[i]))
+        start = time.perf_counter()
         rows, summary = exp.reduce(config, cd, done) if done else ({}, {})
+        reduce_s[name] = time.perf_counter() - start
         reports[name] = Report(
             experiment=name, density_kind=config.density.kind,
             n_values=config.n_values, trials=config.trials,
             base_seed=config.base_seed, rows=rows, stats=summary,
             failures=failures)
+    if telemetry is not None:
+        telemetry.update(trials_s=trials_s, reduce_s=reduce_s)
     return reports
 
 

@@ -99,9 +99,6 @@ class EigenResolvent:
         self._V = V if full else None
         self._V2 = V * V if full else np.multiply(V, V, out=V)
 
-    def trace_mean(self, z: complex) -> complex:
-        return complex(np.mean(1.0 / (self.eigenvalues - z)))
-
     def diag(self, z: complex) -> np.ndarray:
         return self._V2 @ (1.0 / (self.eigenvalues - z))
 

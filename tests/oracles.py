@@ -1,13 +1,19 @@
 """Test oracles: the residual-checked dense solve the package's
 EigenResolvent is held to, the Ward and minor identities, the operators
-S (self-energy) and T (finite-volume error), and the drift decomposition."""
+S (self-energy) and T (finite-volume error), the drift decomposition, and
+the evaluators of a basis, a density and a domain that no command runs:
+the trace mean, T(h), a(h) with its range check, the density rebuilt from
+a alone, and the domain D'."""
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
+from wigflow.density import TABULATED, CalibratedDensity, DensityError, _mix_sum
+from wigflow.domains import SpectralDomain
 from wigflow.flows import CharacteristicCurve
 from wigflow.martingale import MatrixPath
 from wigflow.resolvent import DimensionMismatch, EigenResolvent
@@ -19,6 +25,14 @@ class SolveFailure(Exception):
 
 class DivisionHazard(Exception):
     """A pivot entry G_kk fell below tolerance (cannot happen for Im z > 0)."""
+
+
+class OutOfRange(DensityError):
+    """Evaluation point outside the working interval with clamping disabled."""
+
+
+class QuadratureFailure(DensityError):
+    """A quadrature underlying reconstruction did not converge."""
 
 
 # Max-norm residual allowed in resolvent(), before conditioning scaling.
@@ -191,3 +205,71 @@ def drift_decomposition(path: MatrixPath, curve: CharacteristicCurve) -> DriftDe
     recon = np.max(np.abs((curve.r - curve.r[0]) - F - A)[:last + 1])
     return DriftDecomposition(times=curve.times, F=F, A=A,
                               reconstruction_residual=float(recon))
+
+
+def trace_mean(er: EigenResolvent, z: complex) -> complex:
+    return complex(np.mean(1.0 / (er.eigenvalues - z)))
+
+
+def in_Dprime(dom: SpectralDomain, z) -> bool:
+    """Very large domain containing every characteristic started in D0."""
+    z = complex(z)
+    inv = 1.0 / dom.eta
+    return ((dom.W[0] - 3.0 * inv <= z.real <= dom.W[1] + 3.0 * inv)
+            and (0.25 * dom.eta <= z.imag <= 1.0 + 3.0 * inv))
+
+
+def tail_moment(cd: CalibratedDensity, h):
+    """T(h) = integral_h^inf k rho(k) dk."""
+    if cd.kind == TABULATED:
+        return np.interp(h, cd.tab_h, cd.tab_T)
+    return _mix_sum(cd.mix_w * cd.mix_s, h, cd.mix_s)
+
+
+def a_of_h(cd: CalibratedDensity, h):
+    """Diffusion coefficient a(h) = T(h)/rho(h) for |h| <= h_max."""
+    h = np.asarray(h, dtype=float)
+    if np.any(np.abs(h) > cd.h_max):
+        bad = float(np.max(np.abs(h)))
+        raise OutOfRange(f"|h| = {bad:.6g} exceeds working interval h_max = {cd.h_max:.6g}")
+    return cd._a_unchecked(h)
+
+
+def reconstruct_pdf(cd: CalibratedDensity, h):
+    """Recover the density from a alone.
+
+    Evaluates rho_hat(h) = C * a(h)^{-1} * exp(-integral_0^h k/a(k) dk)
+    with C fixed by normalization; for a calibrated density this inverts
+    the defining relation of a, so rho_hat must match rho.
+    """
+    h = np.asarray(h, dtype=float)
+    if np.any(np.abs(h) > cd.h_max):
+        raise OutOfRange("reconstruction query outside the working interval")
+    grid_r, rho_hat = _reconstruction_table(cd)
+    return np.interp(h, grid_r, rho_hat)
+
+
+# reconstruction cache, built lazily on first use: id(cd) -> table, each
+# entry dropped when its density is collected, so that no id is reused
+_recon = {}
+
+
+def _reconstruction_table(cd: CalibratedDensity):
+    if id(cd) not in _recon:
+        from scipy import integrate   # imported on use: slow to import
+        n = 65537
+        grid_r = np.linspace(-cd.h_max, cd.h_max, n)
+        mid = n // 2            # grid_r[mid] == 0.0
+        integrand = grid_r / cd._a_unchecked(grid_r)
+        iu = integrate.cumulative_simpson(integrand[mid:], x=grid_r[mid:], initial=0.0)
+        il = integrate.cumulative_simpson(integrand[mid::-1], x=-grid_r[mid::-1], initial=0.0)
+        expo = np.concatenate([-il[::-1][:-1], iu])   # integral_0^h k/a dk
+        un = np.exp(-(expo - expo.min())) / cd._a_unchecked(grid_r)
+        if not np.all(np.isfinite(un)):
+            raise QuadratureFailure("non-finite reconstruction integrand")
+        norm = integrate.simpson(un, x=grid_r)
+        if not np.isfinite(norm) or norm <= 0:
+            raise QuadratureFailure("reconstruction normalization failed")
+        _recon[id(cd)] = (grid_r, un / norm)
+        weakref.finalize(cd, _recon.pop, id(cd), None)
+    return _recon[id(cd)]

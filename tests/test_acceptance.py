@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import minor_resolvent, resolvent, ward_check
+from oracles import a_of_h, minor_resolvent, reconstruct_pdf, resolvent, ward_check
 from wigflow import harness
 from wigflow.cli import stub_checks
 from wigflow.density import DensitySpec, calibrate
@@ -94,7 +94,7 @@ def test_criterion_01_gaussian_collapse():
     t0 = time.monotonic()
     cd = calibrate(DensitySpec.gaussian())
     grid = np.linspace(-8.0, 8.0, 4001)
-    assert np.max(np.abs(cd.a_of_h(grid) - 1.0)) <= 1e-8
+    assert np.max(np.abs(a_of_h(cd, grid) - 1.0)) <= 1e-8
     path = evolve(cd, PathConfig(n=64, base_seed=SEED,
                                  schedule=geometric_uniform_schedule(n_steps=50),
                                  checkpoints=TERMINAL))
@@ -110,7 +110,7 @@ def test_criterion_02_density_round_trip():
         cd = calibrate(spec)
         assert abs(cd.integral_a_rho - 1.0) <= 1e-8
         h = np.linspace(-6.0, 6.0, 2001)
-        assert np.max(np.abs(cd.reconstruct_pdf(h) - cd.rho(h))) <= 1e-5
+        assert np.max(np.abs(reconstruct_pdf(cd, h) - cd.rho(h))) <= 1e-5
 
 
 def test_criterion_03_marginal_ks():

@@ -267,7 +267,8 @@ def test_run_manifest_counts_released_and_replayed_matrices(tmp_path, monkeypatc
         paths = len(cfg.n_values) * cfg.trials
         released = len(times) - len(exp.matrices(cfg, times))
         assert set(telemetry) == {"sde_clamps", "matrices_released", "matrices_replayed",
-                                  "caller_table_jobs", "failures"}
+                                  "caller_table_jobs", "failures", "calibrate_s",
+                                  "trials_s", "reduce_s", "write_s"}
         assert telemetry["matrices_released"] == paths * released > 0
         assert telemetry["matrices_replayed"] == 0
         jobs = telemetry["caller_table_jobs"]
@@ -289,6 +290,12 @@ def test_run_all_manifest_and_determinism(tmp_path, capsys):
     assert manifest["seed"] == 11 and manifest["exit_code"] == 0
     telemetry = manifest["telemetry"]
     assert telemetry.pop("matrices_released") > 0 and telemetry.pop("caller_table_jobs") >= 0
+    # phase wall times: present, finite and >= 0, one reduce per experiment
+    reduce_s = telemetry.pop("reduce_s")
+    assert set(reduce_s) == set(manifest["experiments"])
+    for secs in [*reduce_s.values()] + [telemetry.pop(k) for k in
+                                        ("trials_s", "calibrate_s", "write_s")]:
+        assert np.isfinite(secs) and secs >= 0
     assert telemetry == {"sde_clamps": 0, "matrices_replayed": 0, "failures": {
         name: [] for name in manifest["experiments"]}}
     for entry in manifest["experiments"].values():

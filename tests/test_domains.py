@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import in_Dprime
 from wigflow.domains import SpectralDomain, frozen_semicircle_drift, msc
 
 
@@ -115,11 +116,11 @@ def test_membership_D0_and_Dprime():
     assert not dom.in_D0(1.0 + 1j * 0.4 * dom.eta)
     wide = dom.W[1] + 1.5 / dom.eta
     assert dom.in_D0(wide + 1.0j)
-    assert dom.in_Dprime(wide + 1.0j)
-    assert not dom.in_Dprime(1.0 + 1j * 0.2 * dom.eta)
+    assert in_Dprime(dom, wide + 1.0j)
+    assert not in_Dprime(dom, 1.0 + 1j * 0.2 * dom.eta)
     # Dprime extends below and beyond D0
-    assert dom.in_Dprime(1.0 + 1j * 0.3 * dom.eta)
-    assert dom.in_Dprime(dom.W[1] + 2.5 / dom.eta + 1.0j)
+    assert in_Dprime(dom, 1.0 + 1j * 0.3 * dom.eta)
+    assert in_Dprime(dom, dom.W[1] + 2.5 / dom.eta + 1.0j)
     assert not dom.in_D0(dom.W[1] + 2.5 / dom.eta + 1.0j)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from oracles import drift_decomposition
+from oracles import drift_decomposition, in_Dprime
 from wigflow.density import DensitySpec, calibrate
 from wigflow.domains import SpectralDomain, frozen_semicircle_drift, msc
 from wigflow.flows import (PathTraceEvaluator, SpectralLanes, contraction_check,
@@ -438,7 +438,7 @@ def test_lambda_on_path(gauss_path):
     ev = PathTraceEvaluator(path)
     c = flow_lambda(ev, z, dom, ev.ode_times)
     assert np.all(np.diff(c.xi.imag) > 0)
-    assert dom.in_Dprime(c.endpoint)
+    assert in_Dprime(dom, c.endpoint)
 
 
 def test_path_integration_identity(gauss_path):

@@ -551,6 +551,8 @@ def test_telemetry_counts_clamps_of_every_path():
     assert not reps["lsc"].failures
     want = sum(evolve(cd, cfg.path_config(64, t, checkpoints=np.array([1.0]))).total_clamps
                for t in range(cfg.trials))
+    # the phase times are wall seconds, checked in test_cli
+    assert telemetry.pop("trials_s") >= 0 and set(telemetry.pop("reduce_s")) == {"lsc"}
     assert telemetry == {"sde_clamps": want, "matrices_released": 0, "matrices_replayed": 0,
                          "caller_table_jobs": 0} and want > 0
 

@@ -1,7 +1,12 @@
-"""Static checks: every module-level import in the package and tests is
-used, and every public definition of the package is loaded by the package."""
+"""Import checks: every module-level import in the package and tests is
+used, every public definition of the package is loaded by the package, and
+a run loads no heavy scipy subpackage."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,12 +51,16 @@ def unused_imports(source: str) -> list:
 
 def unloaded_definitions(sources: dict) -> list:
     """"module.name" of each public module-level function and class of a
-    package, given as {module name: source}, that no live code loads.
+    package, given as {module name: source}, that no live code loads, and
+    "module.Class.method" of each public method of a live public class
+    that no live code loads as an attribute.
 
     Module-level statements and private definitions are live, and so is
     every public definition that live code loads by name (`f`, or `m.f` for
-    a module m of the package).  So a definition that only loads itself,
-    or a chain of them that nothing live reaches, is reported whole.
+    a module m of the package).  A live class's body is live but for its
+    public methods; each of those is live once live code loads its name as
+    an attribute (`x.method`, of any x).  So a definition that only loads
+    itself, or a chain of them that nothing live reaches, is reported whole.
     Public names are unique across the package, so a load matches by name.
     """
     defs, frontier = {}, []
@@ -61,19 +70,32 @@ def unloaded_definitions(sources: dict) -> list:
                 defs[top.name] = (module, top)
             else:
                 frontier.append(top)
-    live = set()
+    live, methods, loaded, attrs = set(), {}, set(), set()
     while frontier:
-        loaded = set()
         for node in (n for top in frontier for n in ast.walk(top)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
-            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in sources:
-                loaded.add(node.attr)
-        reached = (loaded & defs.keys()) - live
-        live |= reached
-        frontier = [defs[name][1] for name in reached]
-    return sorted(f"{module}.{name}" for name, (module, _top) in defs.items()
-                  if name not in live)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+                if getattr(node.value, "id", None) in sources:
+                    loaded.add(node.attr)
+        frontier = []
+        for name in (loaded & defs.keys()) - live:
+            live.add(name)
+            module, top = defs[name]
+            if isinstance(top, ast.FunctionDef):
+                frontier.append(top)
+                continue
+            frontier += top.decorator_list + top.bases + top.keywords
+            for stmt in top.body:
+                if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                    methods[f"{module}.{name}.{stmt.name}"] = stmt
+                else:
+                    frontier.append(stmt)
+        for key in [key for key, stmt in methods.items() if stmt.name in attrs]:
+            frontier.append(methods.pop(key))
+    return sorted([f"{module}.{name}" for name, (module, _top) in defs.items()
+                   if name not in live] + list(methods))
 
 
 def test_checker_finds_an_unused_import():
@@ -96,7 +118,48 @@ def test_checker_finds_an_unloaded_definition():
     assert unloaded_definitions(sources) == ["a.chain", "a.orphan", "a.selfish"]
 
 
+def test_checker_finds_an_unloaded_method():
+    sources = {"a": ("class Box:\n    size = 3\n    def __init__(self):\n"
+                     "        self._fill()\n    def _fill(self):\n        return self.width\n"
+                     "    @property\n    def width(self):\n        return self.height()\n"
+                     "    def height(self):\n        pass\n    def spare(self):\n        pass\n"
+                     "    def selfish(self):\n        return self.selfish()\n"
+                     "    def tested(self):\n        pass\n"
+                     "class Unused:\n    def helper(self):\n        pass\n"),
+               "b": ("from .a import Box\nBox().size\n")}
+    # the dead class is reported whole, not method by method
+    assert unloaded_definitions(sources) == ["a.Box.selfish", "a.Box.spare", "a.Box.tested",
+                                             "a.Unused"]
+
+
 def test_every_public_definition_is_loaded():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in ROOT.glob("src/wigflow/*.py")}
     unloaded = unloaded_definitions(sources)
     assert unloaded == sorted(UNLOADED), f"public definitions nothing live loads: {unloaded}"
+
+
+# after a run of every experiment: the scipy subpackages in sys.modules, and
+# the heavy ones `import wigflow.cli` alone loaded
+_RUN_IMPORTS = """
+import json, sys
+from wigflow import cli
+heavy = [m for m in ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.linalg")
+         if m in sys.modules]
+code = cli.main(["run", "--config", sys.argv[1], "--experiment", "all", "--threads", "1",
+                 "--out", sys.argv[2]])
+loaded = sorted(name for name, mod in sys.modules.items()
+                if name.startswith("scipy.") and name.count(".") == 1 and hasattr(mod, "__path__"))
+print(json.dumps({"code": code, "at_import": heavy, "subpackages": loaded}))
+"""
+
+
+def test_a_run_loads_only_scipy_special(tmp_path):
+    # scipy.stats alone would add about 37 MiB and half a second to a run
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src")] + sys.path)}
+    res = subprocess.run([sys.executable, "-c", _RUN_IMPORTS,
+                          str(ROOT / "perfbench" / "configs" / "tiny.json"), str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    seen = json.loads(res.stdout.splitlines()[-1])
+    assert seen["code"] == 0 and seen["at_import"] == []
+    assert set(seen["subpackages"]) - {"scipy._lib"} == {"scipy.special"}
